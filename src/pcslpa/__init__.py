@@ -10,7 +10,6 @@ from .nmi import CoverStats, cover_stats, overlapping_nmi
 from .planted import gen_planted_overlap
 from .harness import (
     ExperimentConfig,
-    LfrMeta,
     RunResult,
     WinLossTable,
     derive_seed,
@@ -33,7 +32,6 @@ __all__ = [
     "GroundTruthOracle",
     "IdMap",
     "LabelMemory",
-    "LfrMeta",
     "Oracle",
     "ParseError",
     "PcSlpaParams",

@@ -124,8 +124,8 @@ def _add_common_experiment_flags(p) -> None:
     p.add_argument("--listener-schedule", choices=("sweep", "uniform_draws"), default=None,
                    help="listener selection per pass (default sweep)")
     p.add_argument("--repair-every", type=int, default=None,
-                   help="repair constraints after every k-th pass and after the last "
-                        f"(default {DEFAULT_REPAIR_EVERY})")
+                   help="repair constraints after every k-th pass and after the last; "
+                        f"k >= T repairs once (default {DEFAULT_REPAIR_EVERY})")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -220,15 +220,13 @@ def cmd_nmi(args) -> int:
     if edges is not None:
         g = load_edge_list(edges)
         id_map = g.ids
-        strict = True
     else:
         if universe_mode == "all":
             raise ValueError("--universe all needs --edges for the node universe")
         g = None
         id_map = _cover_id_map([truth_path, args.cover])
-        strict = True
-    truth = load_cover(truth_path, id_map, min_size=min_size, strict=strict)
-    detected = load_cover(args.cover, id_map, min_size=1, strict=strict)
+    truth = load_cover(truth_path, id_map, min_size=min_size)
+    detected = load_cover(args.cover, id_map, min_size=1)
     universe = truth.nodes() if universe_mode == "covered" else set(range(g.n))
     score = overlapping_nmi(truth, detected, universe)
     print(f"{score:.6f}")

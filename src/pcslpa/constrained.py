@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 from .constraints import ConstraintStore
 from .graph import Cover, Graph
-from .slpa import LabelMemory, SlpaParams, listen, listener_order, post_process, speak
+from .slpa import LabelMemory, SlpaParams, post_process
+from .slpa import evaluation_pass as constrained_evaluation_pass
 
 # Communities of this many nodes or fewer are orphan communities.
 ORPHAN_SIZE = 2
@@ -37,19 +38,17 @@ DEFAULT_REPAIR_EVERY = 5
 class PcSlpaParams:
     """base: propagation parameters shared with the unsupervised algorithm.
     repair_every: k runs the repair step after every k-th pass and once more
-    after the final pass (default DEFAULT_REPAIR_EVERY); None runs it once,
-    after the final pass. Cannot-link satisfaction holds at output either way.
-    strict_block: widen the must-link repair block from "a cannot-link
-    partner's top label is L" to "a cannot-link partner's memory contains L".
+    after the final pass (default DEFAULT_REPAIR_EVERY); a value of at least
+    base.iterations repairs once, after the final pass. Cannot-link
+    satisfaction holds at output either way.
     """
 
     base: SlpaParams = field(default_factory=SlpaParams)
-    repair_every: int | None = DEFAULT_REPAIR_EVERY
-    strict_block: bool = False
+    repair_every: int = DEFAULT_REPAIR_EVERY
 
     def __post_init__(self):
-        if self.repair_every is not None and self.repair_every < 1:
-            raise ValueError("repair_every must be >= 1 when set")
+        if self.repair_every < 1:
+            raise ValueError("repair_every must be >= 1")
 
 
 @dataclass
@@ -61,15 +60,6 @@ class RepairReport:
     cl_deletions: int = 0
     cl_guard_exceptions: int = 0
     label_merges: int = 0
-
-    def as_text(self) -> str:
-        return (
-            f"ml_exchanges {self.ml_exchanges}\n"
-            f"ml_blocked_transfers {self.ml_blocked_transfers}\n"
-            f"cl_deletions {self.cl_deletions}\n"
-            f"cl_guard_exceptions {self.cl_guard_exceptions}\n"
-            f"label_merges {self.label_merges}\n"
-        )
 
 
 def init_constrained(g: Graph, store: ConstraintStore) -> list[LabelMemory]:
@@ -99,53 +89,9 @@ def constrained_speaker_set(g: Graph, store: ConstraintStore, listener: int) -> 
     return sorted(speakers)
 
 
-def _tops(memories: list[LabelMemory]) -> list[int | None]:
-    return [memory.top() if memory.counts else None for memory in memories]
-
-
-def constrained_evaluation_pass(g: Graph, store: ConstraintStore,
-                                memories: list[LabelMemory], rng: random.Random,
-                                schedule: str = "sweep",
-                                speakers: list[list[int]] | None = None,
-                                tops: list[int | None] | None = None) -> None:
-    """Evaluation pass with constrained speaker sets and listener-side
-    rejection of every received label that is the current top label of one
-    of the listener's cannot-link partners. A listener whose received labels
-    are all rejected (or who has no speakers) is unchanged.
-
-    speakers: per-node lists from constrained_speaker_set, built here when
-    None. tops: per-node top labels (as LabelMemory.top), built here when
-    None and kept current as labels arrive.
-    """
-    if speakers is None:
-        speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
-    if tops is None:
-        tops = _tops(memories)
-    cl_partners = store._cl_partners
-    for v in listener_order(g.n, schedule, rng):
-        node_speakers = speakers[v]
-        if not node_speakers:
-            continue
-        received = [speak(memories[u], rng) for u in node_speakers]
-        partners = cl_partners.get(v)
-        if partners:
-            blocked = {tops[p] for p in partners}
-            received = [label for label in received if label not in blocked]
-            if not received:
-                continue
-        label = listen(received, rng)
-        memory = memories[v]
-        memory.add(label)
-        top = tops[v]
-        if label != top:
-            count, top_count = memory.counts[label], memory.counts[top]
-            if count > top_count or (count == top_count and label < top):
-                tops[v] = label
-
-
 def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
-                        tops: list[int | None], report: RepairReport | None = None,
-                        gained: set[int] | None = None) -> RepairReport:
+                        tops: list[int], report: RepairReport,
+                        gained: set[int]) -> RepairReport:
     """Merge top labels that a must-link joins and no cannot-link separates.
 
     A must-link pair whose endpoints top on labels a and b links a and b; a
@@ -155,8 +101,6 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     groups. Every memory then holds each group's occurrences under the
     group's smallest label. tops is updated; nodes whose label set changed
     are added to gained."""
-    if report is None:
-        report = RepairReport()
     links: dict[tuple[int, int], int] = {}
     for u, v in store.ml:
         a, b = tops[u], tops[v]
@@ -212,30 +156,22 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
             target = group(label)
             counts[target] = counts.get(target, 0) + counts.pop(label)
         tops[v] = memory.top()
-        if gained is not None:
-            gained.add(v)
+        gained.add(v)
     return report
 
 
 def _transfer_blocked(label: int, receiver: int, store: ConstraintStore,
-                      memories: list[LabelMemory], tops: list[int | None],
-                      strict: bool) -> bool:
-    """Is giving `label` to `receiver` forbidden by its cannot-link partners?"""
-    for partner in store.cl_partners(receiver):
-        if strict:
-            if label in memories[partner].counts:
-                return True
-        elif tops[partner] == label:
-            return True
-    return False
+                      tops: list[int]) -> bool:
+    """Is `label` the top of one of `receiver`'s cannot-link partners?"""
+    return any(tops[partner] == label for partner in store.cl_partners(receiver))
 
 
-def _transfer(memories: list[LabelMemory], tops: list[int | None], receiver: int,
-              label: int, gained: set[int] | None) -> None:
+def _transfer(memories: list[LabelMemory], tops: list[int], receiver: int,
+              label: int, gained: set[int]) -> None:
     """Raise `label` at `receiver` to its maximum count, so it ties for top."""
     memory = memories[receiver]
     top = tops[receiver]
-    if gained is not None and label not in memory.counts:
+    if label not in memory.counts:
         gained.add(receiver)
     memory.set_count(label, memory.counts[top])
     if label < top:
@@ -243,92 +179,67 @@ def _transfer(memories: list[LabelMemory], tops: list[int | None], receiver: int
 
 
 def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
-                     report: RepairReport | None = None,
-                     strict_block: bool = False, one_way: bool = False,
-                     tops: list[int | None] | None = None,
-                     gained: set[int] | None = None) -> RepairReport:
-    """Align each must-link pair on a shared top label.
+                     tops: list[int], report: RepairReport,
+                     gained: set[int]) -> RepairReport:
+    """Align each must-link pair on a shared top label, one way.
 
-    For pairs whose top labels differ, the nodes exchange tops: each receives
-    the partner's top label raised to its own current maximum count, so the
-    received label ties for top. With one_way, only the node whose top holds
-    the smaller share of its memory (the lower id on a tie) receives, and the
-    partner receives instead only if that transfer is blocked. A transfer to
-    a node is blocked when one of that node's cannot-link partners holds the
-    label as its top (or at all, with strict_block).
+    For a pair whose top labels differ, the node whose top holds the smaller
+    share of its memory (the lower id on a tie) receives the partner's top
+    label, raised to its own current maximum count so that it ties for top.
+    The partner receives instead only if that transfer is blocked: a transfer
+    to a node is blocked when one of that node's cannot-link partners tops on
+    the label.
 
-    tops: per-node top labels, built here when None and kept current.
+    tops: per-node top labels, kept current.
     gained: collects the nodes that receive a label they did not hold."""
-    if report is None:
-        report = RepairReport()
-    if tops is None:
-        tops = _tops(memories)
     for u, v in sorted(store.ml):
         top_u, top_v = tops[u], tops[v]
         if top_u == top_v:
             continue
         report.ml_exchanges += 1
         mu, mv = memories[u], memories[v]
-        if one_way:
-            if mu.counts[top_u] * mv.total <= mv.counts[top_v] * mu.total:
-                order = ((u, top_v), (v, top_u))
+        if mu.counts[top_u] * mv.total <= mv.counts[top_v] * mu.total:
+            order = ((u, top_v), (v, top_u))
+        else:
+            order = ((v, top_u), (u, top_v))
+        for receiver, label in order:
+            if _transfer_blocked(label, receiver, store, tops):
+                report.ml_blocked_transfers += 1
             else:
-                order = ((v, top_u), (u, top_v))
-            for receiver, label in order:
-                if _transfer_blocked(label, receiver, store, memories, tops, strict_block):
-                    report.ml_blocked_transfers += 1
-                else:
-                    _transfer(memories, tops, receiver, label, gained)
-                    break
-            continue
-        if _transfer_blocked(top_v, u, store, memories, tops, strict_block):
-            report.ml_blocked_transfers += 1
-        else:
-            _transfer(memories, tops, u, top_v, gained)
-        if _transfer_blocked(top_u, v, store, memories, tops, strict_block):
-            report.ml_blocked_transfers += 1
-        else:
-            _transfer(memories, tops, v, top_u, gained)
+                _transfer(memories, tops, receiver, label, gained)
+                break
     return report
 
 
 def _support(label: int, node: int, speakers: list[list[int]],
-             tops: list[int | None]) -> tuple[int, int]:
+             tops: list[int]) -> tuple[int, int]:
     """Share of node's speakers that top on label, as (count, speakers)."""
     node_speakers = speakers[node]
     return sum(1 for u in node_speakers if tops[u] == label), len(node_speakers)
 
 
 def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
-                       rng: random.Random, report: RepairReport | None = None,
-                       pairs: list[tuple[int, int]] | None = None,
-                       speakers: list[list[int]] | None = None,
-                       tops: list[int | None] | None = None) -> RepairReport:
-    """Strip labels shared across each cannot-link pair.
+                       rng: random.Random, report: RepairReport,
+                       pairs: list[tuple[int, int]], speakers: list[list[int]],
+                       tops: list[int]) -> RepairReport:
+    """Strip labels shared across each cannot-link pair in `pairs`, in order.
 
-    Each common label is deleted entirely from the node holding it with the
-    smaller count (ties resolved uniformly at random). Given speakers and
-    tops, the node with the smaller share of speakers topping on the label
-    loses it first, and counts only break ties of that share; tops is kept
-    current. A node holding only that one label keeps it and the deletion
-    falls to the partner; if both would be emptied the pair stays in
-    violation and the guard counter increments. `pairs` lists the pairs to
-    check, in order; by default every pair, in ascending order."""
-    if report is None:
-        report = RepairReport()
-    by_support = speakers is not None and tops is not None
-    for u, v in sorted(store.cl) if pairs is None else pairs:
+    Each common label is deleted entirely from one endpoint: the one with the
+    smaller share of speakers topping on the label, then the one holding it
+    with the smaller count, then one chosen uniformly at random. A node
+    holding only that one label keeps it and the deletion falls to the
+    partner; if both would be emptied the pair stays in violation and the
+    guard counter increments. tops is kept current."""
+    for u, v in pairs:
         mu, mv = memories[u], memories[v]
         common = mu.counts.keys() & mv.counts.keys()
         if not common:
             continue
         for label in sorted(common):
-            cu, cv = mu.counts[label], mv.counts[label]
-            if by_support:
-                # cross-multiplied shares, so that no float comparison decides
-                (su, nu), (sv, nv) = (_support(label, u, speakers, tops),
-                                      _support(label, v, speakers, tops))
-                cu, cv = (su * nv, cu), (sv * nu, cv)
+            # cross-multiplied shares, so that no float comparison decides
+            (su, nu), (sv, nv) = (_support(label, u, speakers, tops),
+                                  _support(label, v, speakers, tops))
+            cu, cv = (su * nv, mu.counts[label]), (sv * nu, mv.counts[label])
             if cu < cv:
                 loser, other = u, v
             elif cv < cu:
@@ -345,7 +256,7 @@ def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
             memory = memories[loser]
             memory.remove(label)
             report.cl_deletions += 1
-            if by_support and tops[loser] == label:
+            if tops[loser] == label:
                 tops[loser] = memory.top()
     return report
 
@@ -404,34 +315,32 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     rng = random.Random(base.seed)
     memories = init_constrained(g, store)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
-    tops = _tops(memories)
+    tops = [memory.top() for memory in memories]
     cl_pairs = sorted(store.cl)
     report = RepairReport()
-    # label-set size of each node after the previous repair; None before it
-    widths: list[int] | None = None
+    # label-set size of each node after the previous repair; 0 before the
+    # first, which no memory has, so the first repair counts every node
+    widths = [0] * g.n
 
     def repair(final: bool) -> None:
         nonlocal widths
         # Passes only add labels, and a repair leaves every cannot-link pair
         # disjoint (guard cases aside), so a pair can only share a label again
         # once an endpoint gains one: the width test, merges and transfers.
-        if widths is None:
-            gained = set(range(g.n))
-        else:
-            gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
+        gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
         merge_linked_labels(memories, store, tops, report, gained)
-        repair_must_link(memories, store, report, params.strict_block, one_way=True,
-                         tops=tops, gained=gained)
+        repair_must_link(memories, store, tops, report, gained)
         pairs = cl_pairs if final else [pair for pair in cl_pairs
                                         if pair[0] in gained or pair[1] in gained]
         repair_cannot_link(memories, store, rng, report, pairs, speakers, tops)
         widths = [len(memory.counts) for memory in memories]
 
+    cl_partners = store._cl_partners
     for i in range(1, base.iterations + 1):
-        constrained_evaluation_pass(g, store, memories, rng, base.listener_schedule,
-                                    speakers, tops)
+        constrained_evaluation_pass(speakers, memories, tops, cl_partners, rng,
+                                    base.listener_schedule)
         final = i == base.iterations
-        if final or (params.repair_every is not None and i % params.repair_every == 0):
+        if final or i % params.repair_every == 0:
             repair(final)
     return place_orphans(post_process(memories, base.threshold), store, speakers), report
 

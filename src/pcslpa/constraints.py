@@ -13,9 +13,8 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
-from .graph import Cover, Graph, IdMap, ParseError, _iter_lines
+from .graph import Cover, Graph, IdMap, ParseError, _iter_lines, _open_sink
 
 logger = logging.getLogger(__name__)
 
@@ -234,17 +233,10 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
 
 def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
     """One "u v ML|CL" triple per line, sorted by canonical internal pair."""
-    close = False
-    if isinstance(sink, (str, Path)):
-        sink = open(sink, "w", encoding="utf-8")
-        close = True
-    try:
-        rows = [(pair, "ML") for pair in store.ml] + [(pair, "CL") for pair in store.cl]
+    rows = [(pair, "ML") for pair in store.ml] + [(pair, "CL") for pair in store.cl]
+    with _open_sink(sink) as f:
         for (u, v), tag in sorted(rows):
-            sink.write(f"{id_map.external(u)} {id_map.external(v)} {tag}\n")
-    finally:
-        if close:
-            sink.close()
+            f.write(f"{id_map.external(u)} {id_map.external(v)} {tag}\n")
 
 
 def load_constraints(source, id_map: IdMap) -> ConstraintStore:

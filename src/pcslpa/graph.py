@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -129,10 +130,18 @@ def _iter_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
             yield from f
-    elif hasattr(source, "read"):
-        yield from source
     else:
         yield from source
+
+
+@contextmanager
+def _open_sink(sink):
+    """sink itself, or a text file opened for writing when sink is a path."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="utf-8") as f:
+            yield f
+    else:
+        yield sink
 
 
 def load_edge_list(source) -> Graph:
@@ -178,16 +187,9 @@ def write_edge_list(g: Graph, sink) -> None:
 
     Isolated nodes cannot be represented in this format and are not written.
     """
-    close = False
-    if isinstance(sink, (str, Path)):
-        sink = open(sink, "w", encoding="utf-8")
-        close = True
-    try:
+    with _open_sink(sink) as f:
         for u, v in g.edges():
-            sink.write(f"{g.ids.external(u)} {g.ids.external(v)}\n")
-    finally:
-        if close:
-            sink.close()
+            f.write(f"{g.ids.external(u)} {g.ids.external(v)}\n")
 
 
 class Cover:
@@ -268,13 +270,6 @@ def load_cover(source, id_map: IdMap, min_size: int = 1, strict: bool = True) ->
 
 def write_cover(cover: Cover, sink, id_map: IdMap) -> None:
     """Write a cover as one community per line, members as external tokens."""
-    close = False
-    if isinstance(sink, (str, Path)):
-        sink = open(sink, "w", encoding="utf-8")
-        close = True
-    try:
+    with _open_sink(sink) as f:
         for c in cover.communities:
-            sink.write(" ".join(id_map.external(v) for v in sorted(c)) + "\n")
-    finally:
-        if close:
-            sink.close()
+            f.write(" ".join(id_map.external(v) for v in sorted(c)) + "\n")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .constrained import DEFAULT_REPAIR_EVERY, PcSlpaParams, run_pcslpa_report
 from .constraints import Budget, GroundTruthOracle, select_constraints
-from .graph import Cover, Graph, IdMap, load_cover, load_edge_list
+from .graph import Cover, Graph, load_cover, load_edge_list
 from .nmi import overlapping_nmi
 from .slpa import SlpaParams, run_slpa
 
@@ -45,7 +45,7 @@ class ExperimentConfig:
     min_comm_size: int = 1
     universe: str = "covered"  # or "all"
     init_fraction: float = 0.5
-    repair_every: int | None = DEFAULT_REPAIR_EVERY
+    repair_every: int = DEFAULT_REPAIR_EVERY
     listener_schedule: str = "sweep"
     network_id: str = ""
 
@@ -76,36 +76,6 @@ class RunResult:
     ml_blocked_transfers: int = 0
     cl_deletions: int = 0
     cl_guard_exceptions: int = 0
-
-
-@dataclass(frozen=True)
-class LfrMeta:
-    """Descriptive generation tags attached to an ingested benchmark network."""
-
-    n: int
-    avg_degree: float
-    max_degree: int
-    min_comm: int
-    max_comm: int
-    degree_exp: float
-    comm_exp: float
-    mixing: float
-    comms_per_node: int
-
-    def in_benchmark_ranges(self) -> bool:
-        """Whether the tags sit inside the customary benchmark sweep: 1000-5000
-        nodes, avg degree 10, max degree 50, community sizes 10-50 or 20-100,
-        exponents 2 and 1, mixing 0.1-0.3, 1-8 communities per node."""
-        return (
-            1000 <= self.n <= 5000
-            and self.avg_degree == 10
-            and self.max_degree == 50
-            and (self.min_comm, self.max_comm) in ((10, 50), (20, 100))
-            and self.degree_exp == 2
-            and self.comm_exp == 1
-            and 0.1 <= self.mixing <= 0.3
-            and 1 <= self.comms_per_node <= 8
-        )
 
 
 def load_experiment_inputs(cfg: ExperimentConfig) -> tuple[Graph, Cover]:
@@ -156,13 +126,6 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
     return RunResult(cfg.network_id, algo, pct, seed, score, ms, *counters), cover, store
 
 
-def run_single(g: Graph, truth: Cover, cfg: ExperimentConfig,
-               algo: str, pct: float, run_index: int) -> RunResult:
-    """Execute one (algorithm, budget, run) cell; seed derived, not shared."""
-    result, _, _ = run_cell(g, truth, cfg, algo, pct, run_index)
-    return result
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     """All (cell, run) results for a config, in deterministic order.
 
@@ -173,7 +136,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
     results = []
     for algo, pct in experiment_cells(cfg):
         for run_index in range(cfg.runs):
-            results.append(run_single(g, truth, cfg, algo, pct, run_index))
+            results.append(run_cell(g, truth, cfg, algo, pct, run_index)[0])
     return results
 
 
@@ -348,14 +311,3 @@ def filter_truth(g: Graph, cover: Cover, keep_largest: int = 5000,
         comms = ranked[len(ranked) // 4:]
     comms = [c for c in comms if len(c) >= min_size]
     return Cover(sorted(comms, key=lambda c: (-len(c), sorted(c))))
-
-
-def ingest_external_cover(path, id_map: IdMap, strict: bool = True) -> Cover:
-    """Load a cover produced by an external algorithm, for scoring."""
-    try:
-        cover = load_cover(path, id_map, min_size=1, strict=strict)
-    except OSError as e:
-        raise RuntimeError(f"cannot load cover {path}: {e}") from e
-    if len(cover) == 0:
-        raise ValueError(f"no communities found in {path}")
-    return cover

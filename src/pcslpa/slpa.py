@@ -4,7 +4,9 @@ Every node keeps a memory of label occurrence counts, seeded with its own
 unique label (its node id). Each pass, every node listens once: its neighbors
 each speak one label drawn proportionally to their memory frequencies, and the
 listener adds the most popular received label to its memory. Thresholding the
-final per-node label distributions yields an overlapping cover.
+final per-node label distributions yields an overlapping cover. The same pass
+loop runs the constrained variant (pcslpa.constrained), which supplies its own
+speaker lists and cannot-link partners.
 """
 
 from __future__ import annotations
@@ -54,15 +56,6 @@ class LabelMemory:
             if count > best_count or (count == best_count and label < best_label):
                 best_label, best_count = label, count
         return best_label
-
-    def probabilities(self) -> dict[int, float]:
-        return {label: count / self.total for label, count in self.counts.items()}
-
-    def copy(self) -> "LabelMemory":
-        m = LabelMemory()
-        m.counts = dict(self.counts)
-        m.total = self.total
-        return m
 
     def __repr__(self) -> str:
         return f"LabelMemory({self.counts!r})"
@@ -128,16 +121,38 @@ def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
     return [rng.randrange(n) for _ in range(n)]
 
 
-def evaluation_pass(g: Graph, memories: list[LabelMemory], rng: random.Random,
-                    schedule: str = SCHEDULE_SWEEP) -> None:
-    """One pass: each listener collects one spoken label per neighbor and adds
-    the winner to its memory. Listeners with no neighbors are skipped."""
-    for v in listener_order(g.n, schedule, rng):
-        speakers = g.adjacency[v]
-        if not speakers:
+def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
+                    tops: list[int], cl_partners: dict[int, set[int]],
+                    rng: random.Random, schedule: str) -> None:
+    """One pass over the listeners chosen by `schedule`.
+
+    Each listener v collects one spoken label from every node in speakers[v],
+    drops each label that is the current top of one of its cannot-link
+    partners (cl_partners[v]), and adds the most popular remaining label to
+    its memory. A listener with no speakers, or whose labels are all dropped,
+    is unchanged. tops holds each node's top label (as LabelMemory.top) and
+    is kept current as labels arrive. With adjacency lists as speakers and no
+    partners this is the unsupervised pass.
+    """
+    for v in listener_order(len(speakers), schedule, rng):
+        node_speakers = speakers[v]
+        if not node_speakers:
             continue
-        received = [speak(memories[u], rng) for u in speakers]
-        memories[v].add(listen(received, rng))
+        received = [speak(memories[u], rng) for u in node_speakers]
+        partners = cl_partners.get(v)
+        if partners:
+            blocked = {tops[p] for p in partners}
+            received = [label for label in received if label not in blocked]
+            if not received:
+                continue
+        label = listen(received, rng)
+        memory = memories[v]
+        memory.add(label)
+        top = tops[v]
+        if label != top:
+            count, top_count = memory.counts[label], memory.counts[top]
+            if count > top_count or (count == top_count and label < top):
+                tops[v] = label
 
 
 def post_process(memories: list[LabelMemory], threshold: float) -> Cover:
@@ -167,6 +182,7 @@ def run_slpa(g: Graph, params: SlpaParams) -> Cover:
     """
     rng = random.Random(params.seed)
     memories = init_memories(g)
+    tops = list(range(g.n))
     for _ in range(params.iterations):
-        evaluation_pass(g, memories, rng, params.listener_schedule)
+        evaluation_pass(g.adjacency, memories, tops, {}, rng, params.listener_schedule)
     return post_process(memories, params.threshold)

@@ -7,15 +7,13 @@ import random
 
 import pytest
 
-from pcslpa.graph import Cover, IdMap, build_graph, write_cover, write_edge_list
+from pcslpa.graph import Cover, build_graph, write_cover, write_edge_list
 from pcslpa.harness import (
     ExperimentConfig,
-    LfrMeta,
     RunResult,
     derive_seed,
     experiment_cells,
     filter_truth,
-    ingest_external_cover,
     internal_density,
     mix_seed,
     results_csv,
@@ -226,28 +224,3 @@ def test_filter_truth_size_cap_and_floor():
     floored = filter_truth(g, cover, keep_largest=10, drop_density_quartile=False, min_size=3)
     assert sorted(len(c) for c in floored.communities) == [3, 5]
 
-
-def test_ingest_external_cover_errors(tmp_path):
-    ids = IdMap.identity(4)
-    with pytest.raises(RuntimeError):
-        ingest_external_cover(tmp_path / "missing.txt", ids)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nothing\n")
-    with pytest.raises(ValueError):
-        ingest_external_cover(empty, ids)
-    good = tmp_path / "good.txt"
-    good.write_text("0 1\n2 3\n")
-    cover = ingest_external_cover(good, ids)
-    assert len(cover) == 2
-
-
-def test_lfr_meta_range_checks():
-    inside = LfrMeta(n=3000, avg_degree=10, max_degree=50, min_comm=20, max_comm=100,
-                     degree_exp=2, comm_exp=1, mixing=0.2, comms_per_node=4)
-    assert inside.in_benchmark_ranges()
-    assert not LfrMeta(n=300, avg_degree=10, max_degree=50, min_comm=20, max_comm=100,
-                       degree_exp=2, comm_exp=1, mixing=0.2, comms_per_node=4).in_benchmark_ranges()
-    assert not LfrMeta(n=3000, avg_degree=10, max_degree=50, min_comm=15, max_comm=100,
-                       degree_exp=2, comm_exp=1, mixing=0.2, comms_per_node=4).in_benchmark_ranges()
-    assert not LfrMeta(n=3000, avg_degree=10, max_degree=50, min_comm=20, max_comm=100,
-                       degree_exp=2, comm_exp=1, mixing=0.5, comms_per_node=4).in_benchmark_ranges()

@@ -28,7 +28,14 @@ from pcslpa.constrained import (
 from pcslpa.constraints import Budget, ConstraintStore, GroundTruthOracle, select_constraints
 from pcslpa.graph import Cover, build_graph
 from pcslpa.planted import gen_planted_overlap
-from pcslpa.slpa import LabelMemory, SlpaParams, init_memories, run_slpa
+from pcslpa.slpa import (
+    SCHEDULE_SWEEP,
+    SCHEDULE_UNIFORM,
+    LabelMemory,
+    SlpaParams,
+    init_memories,
+    run_slpa,
+)
 
 
 def mem(counts: dict[int, int]) -> LabelMemory:
@@ -40,6 +47,27 @@ def mem(counts: dict[int, int]) -> LabelMemory:
 
 def cover_key(cover):
     return {frozenset(c) for c in cover.communities}
+
+
+def tops_of(mems: list[LabelMemory]) -> list[int]:
+    return [m.top() for m in mems]
+
+
+def constrained_pass(g, store, mems, rng) -> None:
+    speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
+    cl_partners = {v: store.cl_partners(v) for v in range(g.n)}
+    constrained_evaluation_pass(speakers, mems, tops_of(mems), cl_partners, rng, "sweep")
+
+
+def ml_repair(mems, store) -> RepairReport:
+    return repair_must_link(mems, store, tops_of(mems), RepairReport(), set())
+
+
+def cl_repair_by_count(mems, store, rng) -> RepairReport:
+    # with no speakers both support terms are 0, so counts and then the coin
+    # decide
+    return repair_cannot_link(mems, store, rng, RepairReport(), sorted(store.cl),
+                              [[]] * len(mems), tops_of(mems))
 
 
 def test_init_exchanges_labels_across_must_link_pairs():
@@ -101,7 +129,7 @@ def test_listener_rejects_labels_of_cannot_link_partners():
     mems[3] = mem({8: 1})
     # seed 3 puts node 0 first in the sweep, so its speakers are still
     # pristine: labels 7,7,8 arrive and 7 is rejected
-    constrained_evaluation_pass(g, store, mems, random.Random(3))
+    constrained_pass(g, store, mems, random.Random(3))
     assert mems[0].counts == {0: 1, 8: 1}
 
 
@@ -112,7 +140,7 @@ def test_listener_unchanged_when_every_label_is_rejected():
     mems = [LabelMemory(v) for v in range(8)]
     mems[1] = mem({7: 1})
     mems[2] = mem({7: 1})
-    constrained_evaluation_pass(g, store, mems, random.Random(3))
+    constrained_pass(g, store, mems, random.Random(3))
     assert mems[0].counts == {0: 1}
 
 
@@ -127,7 +155,7 @@ def test_listener_rejects_the_partner_top_not_the_partner_id():
     mems[2] = mem({5: 1})
     mems[3] = mem({7: 1})
     mems[7] = mem({5: 3, 7: 1})
-    constrained_evaluation_pass(g, store, mems, random.Random(3))
+    constrained_pass(g, store, mems, random.Random(3))
     assert mems[0].counts == {0: 1, 7: 1}
 
 
@@ -137,18 +165,18 @@ def test_cached_tops_track_label_memory_top():
                                Budget.from_fraction(0.1, g.n), rng=random.Random(4))
     mems = init_constrained(g, store)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
+    cl_partners = {v: store.cl_partners(v) for v in range(g.n)}
     tops = [m.top() for m in mems]
     rng = random.Random(9)
     for _ in range(6):
-        constrained_evaluation_pass(g, store, mems, rng, speakers=speakers, tops=tops)
+        constrained_evaluation_pass(speakers, mems, tops, cl_partners, rng, "sweep")
         assert tops == [m.top() for m in mems]
-    merge_linked_labels(mems, store, tops)
+    report, gained = RepairReport(), set()
+    merge_linked_labels(mems, store, tops, report, gained)
     assert tops == [m.top() for m in mems]
-    repair_must_link(mems, store, one_way=True, tops=tops)
+    repair_must_link(mems, store, tops, report, gained)
     assert tops == [m.top() for m in mems]
-    repair_must_link(mems, store, tops=tops)
-    assert tops == [m.top() for m in mems]
-    report = repair_cannot_link(mems, store, rng, speakers=speakers, tops=tops)
+    repair_cannot_link(mems, store, rng, report, sorted(store.cl), speakers, tops)
     assert report.cl_deletions > 0
     assert tops == [m.top() for m in mems]
 
@@ -159,7 +187,7 @@ def test_merge_joins_linked_tops_everywhere():
     mems = [mem({10: 3, 5: 1}), mem({11: 2}), mem({11: 4, 10: 1})]
     tops = [m.top() for m in mems]
     gained = set()
-    report = merge_linked_labels(mems, store, tops, gained=gained)
+    report = merge_linked_labels(mems, store, tops, RepairReport(), gained)
     assert report.label_merges == 1
     assert mems[0].counts == {10: 3, 5: 1}
     assert mems[1].counts == {10: 2}
@@ -174,7 +202,7 @@ def test_merge_is_vetoed_by_a_separating_cannot_link():
     store.add_cannot_link(2, 3)
     mems = [mem({10: 3}), mem({11: 2}), mem({10: 2}), mem({11: 5})]
     tops = [m.top() for m in mems]
-    report = merge_linked_labels(mems, store, tops)
+    report = merge_linked_labels(mems, store, tops, RepairReport(), set())
     assert report.label_merges == 0
     assert [m.counts for m in mems] == [{10: 3}, {11: 2}, {10: 2}, {11: 5}]
 
@@ -184,7 +212,7 @@ def test_ml_repair_one_way_gives_the_weaker_side_the_partner_top():
     store.add_must_link(0, 1)
     # node 1's top holds half its memory, node 0's top five sixths
     mems = [mem({100: 5, 101: 1}), mem({102: 2, 103: 2})]
-    report = repair_must_link(mems, store, one_way=True)
+    report = ml_repair(mems, store)
     assert mems[0].counts == {100: 5, 101: 1}
     assert mems[1].counts == {102: 2, 103: 2, 100: 2}
     assert report.ml_exchanges == 1
@@ -196,7 +224,7 @@ def test_ml_repair_one_way_falls_back_to_the_other_side_when_blocked():
     store.add_must_link(0, 1)
     store.add_cannot_link(1, 2)
     mems = [mem({100: 5, 101: 1}), mem({102: 2, 103: 2}), mem({100: 4})]
-    report = repair_must_link(mems, store, one_way=True)
+    report = ml_repair(mems, store)
     assert mems[1].counts == {102: 2, 103: 2}
     assert mems[0].counts == {100: 5, 101: 1, 102: 5}
     assert report.ml_blocked_transfers == 1
@@ -211,7 +239,8 @@ def test_cl_repair_by_support_strips_the_less_embedded_side():
             mem({100: 1}), mem({100: 1}), mem({100: 1}), mem({9: 1})]
     speakers = [[2, 3], [4, 5], [], [], [], []]
     tops = [m.top() for m in mems]
-    report = repair_cannot_link(mems, store, random.Random(0), speakers=speakers, tops=tops)
+    report = repair_cannot_link(mems, store, random.Random(0), RepairReport(),
+                                sorted(store.cl), speakers, tops)
     assert mems[0].counts == {100: 2, 7: 3}
     assert mems[1].counts == {8: 1}
     assert tops[1] == 8
@@ -223,7 +252,8 @@ def test_cl_repair_checks_only_the_given_pairs():
     store.add_cannot_link(0, 1)
     store.add_cannot_link(2, 3)
     mems = [mem({100: 3, 1: 1}), mem({100: 2, 2: 1}), mem({200: 3, 3: 1}), mem({200: 2, 4: 1})]
-    report = repair_cannot_link(mems, store, random.Random(0), pairs=[(0, 1)])
+    report = repair_cannot_link(mems, store, random.Random(0), RepairReport(), [(0, 1)],
+                                [[]] * len(mems), tops_of(mems))
     assert report.cl_deletions == 1
     assert 100 not in mems[1].counts
     assert 200 in mems[2].counts and 200 in mems[3].counts
@@ -264,62 +294,21 @@ def test_default_schedule_repairs_periodically():
     assert PcSlpaParams().repair_every == DEFAULT_REPAIR_EVERY
 
 
-def test_ml_repair_exchanges_tops_at_receiver_max():
-    store = ConstraintStore()
-    store.add_must_link(0, 1)
-    mems = [mem({100: 5, 101: 1}), mem({102: 4})]
-    report = repair_must_link(mems, store)
-    assert mems[0].counts == {100: 5, 101: 1, 102: 5}
-    assert mems[1].counts == {102: 4, 100: 4}
-    assert report.ml_exchanges == 1
-    assert report.ml_blocked_transfers == 0
-    # both tops now agree
-    assert mems[0].top() == mems[1].top() == 100
-
-
 def test_ml_repair_skips_pairs_already_aligned():
     store = ConstraintStore()
     store.add_must_link(0, 1)
     mems = [mem({9: 3}), mem({9: 2, 4: 1})]
-    report = repair_must_link(mems, store)
+    report = ml_repair(mems, store)
     assert report.ml_exchanges == 0
     assert mems[0].counts == {9: 3}
     assert mems[1].counts == {9: 2, 4: 1}
-
-
-def test_ml_repair_blocks_direction_via_cl_partner_top():
-    # 1 may not receive 0's top label 100 because 1's cannot-link partner 2
-    # tops on it; the other direction still transfers
-    store = ConstraintStore()
-    store.add_must_link(0, 1)
-    store.add_cannot_link(1, 2)
-    mems = [mem({100: 5}), mem({102: 4}), mem({100: 7, 5: 1})]
-    report = repair_must_link(mems, store)
-    assert mems[0].counts == {100: 5, 102: 5}
-    assert mems[1].counts == {102: 4}
-    assert report.ml_exchanges == 1
-    assert report.ml_blocked_transfers == 1
-
-
-def test_ml_repair_strict_block_widens_to_contained_labels():
-    store = ConstraintStore()
-    store.add_must_link(0, 1)
-    store.add_cannot_link(1, 2)
-    # partner 2 holds 100 but tops on 7: lax mode transfers, strict blocks
-    mems_lax = [mem({100: 5}), mem({102: 4}), mem({7: 9, 100: 1})]
-    repair_must_link(mems_lax, store)
-    assert 100 in mems_lax[1].counts
-    mems_strict = [mem({100: 5}), mem({102: 4}), mem({7: 9, 100: 1})]
-    report = repair_must_link(mems_strict, store, strict_block=True)
-    assert 100 not in mems_strict[1].counts
-    assert report.ml_blocked_transfers == 1
 
 
 def test_cl_repair_deletes_common_label_from_smaller_holder():
     store = ConstraintStore()
     store.add_cannot_link(0, 1)
     mems = [mem({100: 3, 101: 1}), mem({100: 2, 102: 2})]
-    report = repair_cannot_link(mems, store, random.Random(0))
+    report = cl_repair_by_count(mems, store, random.Random(0))
     assert mems[0].counts == {100: 3, 101: 1}
     assert mems[1].counts == {102: 2}
     assert report.cl_deletions == 1
@@ -331,7 +320,7 @@ def test_cl_repair_deletion_falls_to_partner_when_loser_is_single_label():
     store.add_cannot_link(0, 1)
     # 0 holds the smaller count but only that one label; 1 absorbs the loss
     mems = [mem({100: 2}), mem({100: 3, 103: 1})]
-    report = repair_cannot_link(mems, store, random.Random(0))
+    report = cl_repair_by_count(mems, store, random.Random(0))
     assert mems[0].counts == {100: 2}
     assert mems[1].counts == {103: 1}
     assert report.cl_deletions == 1
@@ -342,7 +331,7 @@ def test_cl_repair_guard_when_both_sides_would_empty():
     store = ConstraintStore()
     store.add_cannot_link(0, 1)
     mems = [mem({100: 2}), mem({100: 2})]
-    report = repair_cannot_link(mems, store, random.Random(0))
+    report = cl_repair_by_count(mems, store, random.Random(0))
     assert mems[0].counts == {100: 2}
     assert mems[1].counts == {100: 2}
     assert report.cl_deletions == 0
@@ -353,7 +342,7 @@ def test_cl_repair_handles_multiple_common_labels():
     store = ConstraintStore()
     store.add_cannot_link(0, 1)
     mems = [mem({100: 2, 101: 3, 104: 9}), mem({100: 5, 101: 1, 105: 4})]
-    report = repair_cannot_link(mems, store, random.Random(0))
+    report = cl_repair_by_count(mems, store, random.Random(0))
     assert set(mems[0].counts).isdisjoint(mems[1].counts)
     assert report.cl_deletions == 2
     assert mems[0].counts == {101: 3, 104: 9}
@@ -364,7 +353,7 @@ def test_cl_repair_ignores_disjoint_pairs():
     store = ConstraintStore()
     store.add_cannot_link(0, 1)
     mems = [mem({1: 4}), mem({2: 6})]
-    report = repair_cannot_link(mems, store, random.Random(0))
+    report = cl_repair_by_count(mems, store, random.Random(0))
     assert report.cl_deletions == 0
     assert mems[0].counts == {1: 4}
 
@@ -375,7 +364,7 @@ def test_cl_repair_tie_side_is_random_but_seeded():
     outcomes = set()
     for seed in range(20):
         mems = [mem({100: 2, 101: 1}), mem({100: 2, 102: 1})]
-        repair_cannot_link(mems, store, random.Random(seed))
+        cl_repair_by_count(mems, store, random.Random(seed))
         outcomes.add(100 in mems[0].counts)
     # over 20 seeds both sides must lose at least once
     assert outcomes == {True, False}
@@ -383,11 +372,13 @@ def test_cl_repair_tie_side_is_random_but_seeded():
 
 def test_empty_store_reduces_to_unsupervised_run():
     g, _ = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
-    for seed in range(5):
-        base = SlpaParams(iterations=40, threshold=0.1, seed=seed)
-        plain = run_slpa(g, base)
-        constrained = run_pcslpa(g, ConstraintStore(), PcSlpaParams(base=base))
-        assert cover_key(plain) == cover_key(constrained)
+    for schedule in (SCHEDULE_SWEEP, SCHEDULE_UNIFORM):
+        for seed in range(5):
+            base = SlpaParams(iterations=40, threshold=0.1, seed=seed,
+                              listener_schedule=schedule)
+            plain = run_slpa(g, base)
+            constrained = run_pcslpa(g, ConstraintStore(), PcSlpaParams(base=base))
+            assert cover_key(plain) == cover_key(constrained)
 
 
 def test_output_communities_respect_cannot_links():
@@ -428,9 +419,18 @@ def test_constrained_run_is_deterministic():
     assert r1 == r2
 
 
-def test_params_validation_and_report_text():
+def test_repair_every_at_least_t_repairs_once():
+    g, truth = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
+    store = select_constraints(g, GroundTruthOracle(truth),
+                               Budget.from_fraction(0.05, g.n),
+                               rng=random.Random(2))
+    base = SlpaParams(iterations=30, threshold=0.1, seed=2)
+    once, once_report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=30))
+    late, late_report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=300))
+    assert cover_key(once) == cover_key(late)
+    assert once_report == late_report
+
+
+def test_params_validation():
     with pytest.raises(ValueError):
         PcSlpaParams(repair_every=0)
-    text = RepairReport(1, 2, 3, 4).as_text()
-    assert "ml_exchanges 1" in text
-    assert "cl_guard_exceptions 4" in text

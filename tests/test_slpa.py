@@ -67,23 +67,6 @@ def test_memory_set_count_and_remove():
         m.remove(99)
 
 
-def test_memory_probabilities_sum_to_one():
-    m = LabelMemory()
-    m.add(0, 3)
-    m.add(7, 1)
-    probs = m.probabilities()
-    assert probs == {0: 0.75, 7: 0.25}
-    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_memory_copy_is_independent():
-    m = LabelMemory(2)
-    c = m.copy()
-    c.add(2)
-    assert m.counts == {2: 1}
-    assert c.counts == {2: 2}
-
-
 def test_speak_is_proportional_to_counts():
     m = LabelMemory()
     m.add(5, 3)
@@ -142,7 +125,7 @@ def test_evaluation_pass_grows_connected_nodes_only():
     g = build_graph(3, [(0, 1)])
     mems = init_memories(g)
     rng = random.Random(5)
-    evaluation_pass(g, mems, rng)
+    evaluation_pass(g.adjacency, mems, list(range(g.n)), {}, rng, "sweep")
     assert mems[0].total == 2
     assert mems[1].total == 2
     assert mems[2].total == 1
@@ -152,10 +135,11 @@ def test_evaluation_pass_grows_connected_nodes_only():
 def test_memory_totals_after_t_passes():
     g, _ = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
     mems = init_memories(g)
+    tops = list(range(g.n))
     rng = random.Random(6)
     t = 13
     for _ in range(t):
-        evaluation_pass(g, mems, rng)
+        evaluation_pass(g.adjacency, mems, tops, {}, rng, "sweep")
     assert all(m.total == 1 + t for m in mems)
 
 
