@@ -24,12 +24,12 @@ import random
 import sys
 from pathlib import Path
 
-from .constrained import DEFAULT_REPAIR_EVERY
 from .constraints import Budget, GroundTruthOracle, select_constraints, write_constraints
 from .graph import IdMap, ParseError, load_cover, load_edge_list, write_cover, write_edge_list
 from .harness import (
     ALGO_PCSLPA,
     ALGO_SLPA,
+    UNIVERSES,
     ExperimentConfig,
     mix_seed,
     results_csv,
@@ -43,6 +43,10 @@ from .nmi import cover_stats, overlapping_nmi
 from .planted import gen_planted_overlap
 
 logger = logging.getLogger(__name__)
+
+# The defaults of every experiment flag: a dataclass keeps each field's
+# default value as a class attribute.
+DEFAULTS = ExperimentConfig
 
 
 def load_config(path) -> dict[str, str]:
@@ -65,15 +69,6 @@ def load_config(path) -> dict[str, str]:
                 raise ParseError(f"empty key in {line!r}", line_no)
             out[key] = value.strip()
     return out
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_pct_list(text: str) -> list[float]:
@@ -108,24 +103,26 @@ def _write_output(out, text: str) -> None:
 
 def _add_common_experiment_flags(p) -> None:
     p.add_argument("--T", type=int, default=None,
-                   help="label propagation passes (default 100)")
+                   help=f"label propagation passes (default {DEFAULTS.iterations})")
     p.add_argument("--r", type=float, default=None,
-                   help="membership probability threshold (default 0.1)")
+                   help=f"membership probability threshold (default {DEFAULTS.threshold})")
     p.add_argument("--runs", type=int, default=None,
-                   help="independent runs per cell (default 20)")
+                   help=f"independent runs per cell (default {DEFAULTS.runs})")
     p.add_argument("--seed", type=int, default=None,
-                   help="base seed, per-run seeds derived from it (default 12345)")
-    p.add_argument("--universe", choices=("covered", "all"), default=None,
-                   help="node universe for scoring (default covered)")
+                   help=f"base seed, per-run seeds derived from it (default {DEFAULTS.seed})")
+    p.add_argument("--universe", choices=UNIVERSES, default=None,
+                   help=f"node universe for scoring (default {DEFAULTS.universe})")
     p.add_argument("--min-comm-size", type=int, default=None,
-                   help="drop ground-truth communities below this size (default 1)")
+                   help="drop ground-truth communities below this size "
+                        f"(default {DEFAULTS.min_comm_size})")
     p.add_argument("--init-fraction", type=float, default=None,
-                   help="fraction of the budget spent per random seeding round (default 0.5)")
+                   help="fraction of the budget spent per random seeding round "
+                        f"(default {DEFAULTS.init_fraction})")
     p.add_argument("--listener-schedule", choices=("sweep", "uniform_draws"), default=None,
-                   help="listener selection per pass (default sweep)")
+                   help=f"listener selection per pass (default {DEFAULTS.listener_schedule})")
     p.add_argument("--repair-every", type=int, default=None,
                    help="repair constraints after every k-th pass and after the last; "
-                        f"k >= T repairs once (default {DEFAULT_REPAIR_EVERY})")
+                        f"k >= T repairs once (default {DEFAULTS.repair_every})")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -136,15 +133,16 @@ def _experiment_config(args, config, edges, truth, algo, pcts, network_id="") ->
         truth=Path(truth),
         algorithm=algo,
         budget_pcts=tuple(pcts),
-        iterations=resolve(args, config, "T", 100, int),
-        threshold=resolve(args, config, "r", 0.1, float),
-        runs=resolve(args, config, "runs", 20, int),
-        seed=resolve(args, config, "seed", 12345, int),
-        min_comm_size=resolve(args, config, "min_comm_size", 1, int),
-        universe=resolve(args, config, "universe", "covered", str),
-        init_fraction=resolve(args, config, "init_fraction", 0.5, float),
-        repair_every=resolve(args, config, "repair_every", DEFAULT_REPAIR_EVERY, int),
-        listener_schedule=resolve(args, config, "listener_schedule", "sweep", str),
+        iterations=resolve(args, config, "T", DEFAULTS.iterations, int),
+        threshold=resolve(args, config, "r", DEFAULTS.threshold, float),
+        runs=resolve(args, config, "runs", DEFAULTS.runs, int),
+        seed=resolve(args, config, "seed", DEFAULTS.seed, int),
+        min_comm_size=resolve(args, config, "min_comm_size", DEFAULTS.min_comm_size, int),
+        universe=resolve(args, config, "universe", DEFAULTS.universe, str),
+        init_fraction=resolve(args, config, "init_fraction", DEFAULTS.init_fraction, float),
+        repair_every=resolve(args, config, "repair_every", DEFAULTS.repair_every, int),
+        listener_schedule=resolve(args, config, "listener_schedule",
+                                  DEFAULTS.listener_schedule, str),
         network_id=network_id,
     )
 
@@ -215,8 +213,10 @@ def cmd_nmi(args) -> int:
     if truth_path is None:
         raise ValueError("nmi needs --truth")
     edges = resolve(args, config, "edges", None, str)
-    universe_mode = resolve(args, config, "universe", "covered", str)
-    min_size = resolve(args, config, "min_comm_size", 1, int)
+    universe_mode = resolve(args, config, "universe", DEFAULTS.universe, str)
+    if universe_mode not in UNIVERSES:
+        raise ValueError(f"unknown universe mode {universe_mode!r}")
+    min_size = resolve(args, config, "min_comm_size", DEFAULTS.min_comm_size, int)
     if edges is not None:
         g = load_edge_list(edges)
         id_map = g.ids
@@ -243,13 +243,13 @@ def cmd_select_constraints(args) -> int:
     if len(pcts) != 1:
         raise ValueError("select-constraints needs exactly one --budget-pct")
     g = load_edge_list(edges)
-    truth = load_cover(truth_path, g.ids,
-                       min_size=resolve(args, config, "min_comm_size", 1, int))
+    min_size = resolve(args, config, "min_comm_size", DEFAULTS.min_comm_size, int)
+    truth = load_cover(truth_path, g.ids, min_size=min_size)
     budget = Budget.from_fraction(pcts[0], g.n)
-    seed = resolve(args, config, "seed", 12345, int)
+    seed = resolve(args, config, "seed", DEFAULTS.seed, int)
     rng = random.Random(mix_seed(seed, "select"))
-    store = select_constraints(g, GroundTruthOracle(truth), budget,
-                               resolve(args, config, "init_fraction", 0.5, float), rng)
+    init_fraction = resolve(args, config, "init_fraction", DEFAULTS.init_fraction, float)
+    store = select_constraints(g, GroundTruthOracle(truth), budget, init_fraction, rng)
     logger.info("selected %d constraints with %d queries (budget %d)",
                 len(store), store.queries_used, budget.max_queries)
     buf = io.StringIO()
@@ -350,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="reference cover file")
     p.add_argument("--edges", default=None,
                    help="edge list; required for --universe all, otherwise optional")
-    p.add_argument("--universe", choices=("covered", "all"), default=None,
-                   help="scoring universe (default covered: reference cover's nodes)")
+    p.add_argument("--universe", choices=UNIVERSES, default=None,
+                   help=f"scoring universe (default {DEFAULTS.universe}: "
+                        "reference cover's nodes)")
     p.add_argument("--min-comm-size", type=int, default=None,
                    help="drop reference communities below this size")
     p.add_argument("--config", default=None, help="key = value config file")

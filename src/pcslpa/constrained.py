@@ -1,6 +1,7 @@
 """Pairwise-constrained speaker-listener label propagation.
 
-Constraints act at five points:
+Constraints act at five points. Listening and repair read each node's top
+label, `memory.top`, which its LabelMemory keeps current:
 
 * initialization: must-link pairs exchange labels;
 * speaker sets: must-link partners join and cannot-link partners leave each
@@ -90,8 +91,7 @@ def constrained_speaker_set(g: Graph, store: ConstraintStore, listener: int) -> 
 
 
 def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
-                        tops: list[int], report: RepairReport,
-                        gained: set[int]) -> RepairReport:
+                        report: RepairReport, gained: set[int]) -> RepairReport:
     """Merge top labels that a must-link joins and no cannot-link separates.
 
     A must-link pair whose endpoints top on labels a and b links a and b; a
@@ -99,8 +99,9 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     taken by descending count of linking must-links, then ascending labels,
     and each joins its two label groups unless a cannot-link separates the
     groups. Every memory then holds each group's occurrences under the
-    group's smallest label. tops is updated; nodes whose label set changed
-    are added to gained."""
+    group's smallest label. Nodes whose label set changed are added to
+    gained."""
+    tops = [memory.top for memory in memories]
     links: dict[tuple[int, int], int] = {}
     for u, v in store.ml:
         a, b = tops[u], tops[v]
@@ -147,40 +148,31 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
             separated.setdefault(low, []).extend(moved)
     if not parent:
         return report
+    targets = {label: group(label) for label in parent}
     for v, memory in enumerate(memories):
-        counts = memory.counts
-        renamed = [label for label in counts if label in parent]
-        if not renamed:
-            continue
-        for label in renamed:
-            target = group(label)
-            counts[target] = counts.get(target, 0) + counts.pop(label)
-        tops[v] = memory.top()
-        gained.add(v)
+        if memory.rename(targets):
+            gained.add(v)
     return report
 
 
 def _transfer_blocked(label: int, receiver: int, store: ConstraintStore,
-                      tops: list[int]) -> bool:
+                      memories: list[LabelMemory]) -> bool:
     """Is `label` the top of one of `receiver`'s cannot-link partners?"""
-    return any(tops[partner] == label for partner in store.cl_partners(receiver))
+    return any(memories[partner].top == label for partner in store.cl_partners(receiver))
 
 
-def _transfer(memories: list[LabelMemory], tops: list[int], receiver: int,
-              label: int, gained: set[int]) -> None:
+def _transfer(memories: list[LabelMemory], receiver: int, label: int,
+              gained: set[int]) -> None:
     """Raise `label` at `receiver` to its maximum count, so it ties for top."""
     memory = memories[receiver]
-    top = tops[receiver]
-    if label not in memory.counts:
+    counts = memory.counts
+    if label not in counts:
         gained.add(receiver)
-    memory.set_count(label, memory.counts[top])
-    if label < top:
-        tops[receiver] = label
+    memory.add(label, counts[memory.top] - counts.get(label, 0))
 
 
 def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
-                     tops: list[int], report: RepairReport,
-                     gained: set[int]) -> RepairReport:
+                     report: RepairReport, gained: set[int]) -> RepairReport:
     """Align each must-link pair on a shared top label, one way.
 
     For a pair whose top labels differ, the node whose top holds the smaller
@@ -190,38 +182,37 @@ def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
     to a node is blocked when one of that node's cannot-link partners tops on
     the label.
 
-    tops: per-node top labels, kept current.
     gained: collects the nodes that receive a label they did not hold."""
     for u, v in sorted(store.ml):
-        top_u, top_v = tops[u], tops[v]
+        mu, mv = memories[u], memories[v]
+        top_u, top_v = mu.top, mv.top
         if top_u == top_v:
             continue
         report.ml_exchanges += 1
-        mu, mv = memories[u], memories[v]
         if mu.counts[top_u] * mv.total <= mv.counts[top_v] * mu.total:
             order = ((u, top_v), (v, top_u))
         else:
             order = ((v, top_u), (u, top_v))
         for receiver, label in order:
-            if _transfer_blocked(label, receiver, store, tops):
+            if _transfer_blocked(label, receiver, store, memories):
                 report.ml_blocked_transfers += 1
             else:
-                _transfer(memories, tops, receiver, label, gained)
+                _transfer(memories, receiver, label, gained)
                 break
     return report
 
 
 def _support(label: int, node: int, speakers: list[list[int]],
-             tops: list[int]) -> tuple[int, int]:
+             memories: list[LabelMemory]) -> tuple[int, int]:
     """Share of node's speakers that top on label, as (count, speakers)."""
     node_speakers = speakers[node]
-    return sum(1 for u in node_speakers if tops[u] == label), len(node_speakers)
+    return sum(1 for u in node_speakers if memories[u].top == label), len(node_speakers)
 
 
 def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
                        rng: random.Random, report: RepairReport,
-                       pairs: list[tuple[int, int]], speakers: list[list[int]],
-                       tops: list[int]) -> RepairReport:
+                       pairs: list[tuple[int, int]],
+                       speakers: list[list[int]]) -> RepairReport:
     """Strip labels shared across each cannot-link pair in `pairs`, in order.
 
     Each common label is deleted entirely from one endpoint: the one with the
@@ -229,7 +220,7 @@ def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
     with the smaller count, then one chosen uniformly at random. A node
     holding only that one label keeps it and the deletion falls to the
     partner; if both would be emptied the pair stays in violation and the
-    guard counter increments. tops is kept current."""
+    guard counter increments."""
     for u, v in pairs:
         mu, mv = memories[u], memories[v]
         common = mu.counts.keys() & mv.counts.keys()
@@ -237,8 +228,8 @@ def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
             continue
         for label in sorted(common):
             # cross-multiplied shares, so that no float comparison decides
-            (su, nu), (sv, nv) = (_support(label, u, speakers, tops),
-                                  _support(label, v, speakers, tops))
+            (su, nu), (sv, nv) = (_support(label, u, speakers, memories),
+                                  _support(label, v, speakers, memories))
             cu, cv = (su * nv, mu.counts[label]), (sv * nu, mv.counts[label])
             if cu < cv:
                 loser, other = u, v
@@ -253,11 +244,8 @@ def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
                 if len(memories[loser].counts) == 1:
                     report.cl_guard_exceptions += 1
                     continue
-            memory = memories[loser]
-            memory.remove(label)
+            memories[loser].remove(label)
             report.cl_deletions += 1
-            if tops[loser] == label:
-                tops[loser] = memory.top()
     return report
 
 
@@ -315,7 +303,6 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     rng = random.Random(base.seed)
     memories = init_constrained(g, store)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
-    tops = [memory.top() for memory in memories]
     cl_pairs = sorted(store.cl)
     report = RepairReport()
     # label-set size of each node after the previous repair; 0 before the
@@ -328,24 +315,18 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         # disjoint (guard cases aside), so a pair can only share a label again
         # once an endpoint gains one: the width test, merges and transfers.
         gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
-        merge_linked_labels(memories, store, tops, report, gained)
-        repair_must_link(memories, store, tops, report, gained)
+        merge_linked_labels(memories, store, report, gained)
+        repair_must_link(memories, store, report, gained)
         pairs = cl_pairs if final else [pair for pair in cl_pairs
                                         if pair[0] in gained or pair[1] in gained]
-        repair_cannot_link(memories, store, rng, report, pairs, speakers, tops)
+        repair_cannot_link(memories, store, rng, report, pairs, speakers)
         widths = [len(memory.counts) for memory in memories]
 
     cl_partners = store._cl_partners
     for i in range(1, base.iterations + 1):
-        constrained_evaluation_pass(speakers, memories, tops, cl_partners, rng,
+        constrained_evaluation_pass(speakers, memories, cl_partners, rng,
                                     base.listener_schedule)
         final = i == base.iterations
         if final or i % params.repair_every == 0:
             repair(final)
     return place_orphans(post_process(memories, base.threshold), store, speakers), report
-
-
-def run_pcslpa(g: Graph, store: ConstraintStore, params: PcSlpaParams) -> Cover:
-    """Constrained pipeline; see run_pcslpa_report for the repair counters."""
-    cover, _ = run_pcslpa_report(g, store, params)
-    return cover

@@ -64,10 +64,6 @@ class ConstraintStore:
     def add_cannot_link(self, u: int, v: int) -> None:
         self.add(u, v, Relation.CANNOT_LINK)
 
-    def has_pair(self, u: int, v: int) -> bool:
-        pair = canonical_pair(u, v)
-        return pair in self.ml or pair in self.cl
-
     def ml_partners(self, v: int) -> set[int]:
         return self._ml_partners.get(v, set())
 

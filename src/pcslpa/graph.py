@@ -81,11 +81,6 @@ class Graph:
     m: int
     ids: IdMap = field(repr=False)
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"node {v} out of range for graph with n={self.n}")
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         adj = self.adjacency[u]
         i = bisect_left(adj, v)
@@ -222,11 +217,6 @@ class Cover:
 
     def nodes(self) -> set[int]:
         return set(self._membership)
-
-    def restrict(self, universe: set[int]) -> "Cover":
-        """Cover intersected with universe; emptied communities are dropped."""
-        kept = [c & universe for c in self.communities]
-        return Cover(c for c in kept if c)
 
     def __len__(self) -> int:
         return len(self.communities)

@@ -19,6 +19,8 @@ from .slpa import SlpaParams, run_slpa
 
 ALGO_SLPA = "slpa"
 ALGO_PCSLPA = "pcslpa"
+# node universes for scoring: the ground truth's covered nodes, or all nodes
+UNIVERSES = ("covered", "all")
 
 
 def mix_seed(base: int, *tokens: str) -> int:
@@ -43,7 +45,7 @@ class ExperimentConfig:
     runs: int = 20
     seed: int = 12345
     min_comm_size: int = 1
-    universe: str = "covered"  # or "all"
+    universe: str = "covered"
     init_fraction: float = 0.5
     repair_every: int = DEFAULT_REPAIR_EVERY
     listener_schedule: str = "sweep"
@@ -54,7 +56,7 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.algorithm not in (ALGO_SLPA, ALGO_PCSLPA):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.universe not in ("covered", "all"):
+        if self.universe not in UNIVERSES:
             raise ValueError(f"unknown universe mode {self.universe!r}")
         if any(not 0.0 <= p <= 1.0 for p in self.budget_pcts):
             raise ValueError("budget fractions must lie in [0, 1]")

@@ -4,9 +4,11 @@ Every node keeps a memory of label occurrence counts, seeded with its own
 unique label (its node id). Each pass, every node listens once: its neighbors
 each speak one label drawn proportionally to their memory frequencies, and the
 listener adds the most popular received label to its memory. Thresholding the
-final per-node label distributions yields an overlapping cover. The same pass
-loop runs the constrained variant (pcslpa.constrained), which supplies its own
-speaker lists and cannot-link partners.
+final per-node label distributions yields an overlapping cover. A memory also
+keeps its top label, the most frequent one (the lowest id on a tie), as
+`memory.top`. The same pass loop runs the constrained variant
+(pcslpa.constrained), which supplies its own speaker lists and cannot-link
+partners, and whose listeners reject the top labels of those partners.
 """
 
 from __future__ import annotations
@@ -21,41 +23,60 @@ SCHEDULE_UNIFORM = "uniform_draws"
 
 
 class LabelMemory:
-    """Multiset of labels with occurrence counts; total tracks the sum."""
+    """Multiset of labels with occurrence counts, never empty.
 
-    __slots__ = ("counts", "total")
+    total tracks the sum of the counts and top the label with the maximal
+    count, the lowest label id on a tie; add, remove and rename keep both
+    current.
+    """
 
-    def __init__(self, label: int | None = None):
-        self.counts: dict[int, int] = {}
-        self.total = 0
-        if label is not None:
-            self.counts[label] = 1
-            self.total = 1
+    __slots__ = ("counts", "total", "top")
+
+    def __init__(self, label: int):
+        self.counts: dict[int, int] = {label: 1}
+        self.total = 1
+        self.top = label
 
     def add(self, label: int, k: int = 1) -> None:
         self.counts[label] = self.counts.get(label, 0) + k
         self.total += k
-
-    def set_count(self, label: int, count: int) -> None:
-        if count < 1:
-            raise ValueError("label counts must stay positive")
-        self.total += count - self.counts.get(label, 0)
-        self.counts[label] = count
+        self._contest(label)
 
     def remove(self, label: int) -> None:
-        """Delete all occurrences of label."""
+        """Delete all occurrences of label, which must not be the only one."""
+        if len(self.counts) == 1:
+            raise ValueError("cannot remove the last label of a memory")
         self.total -= self.counts.pop(label)
+        if label == self.top:
+            self._elect()
 
-    def top(self) -> int:
-        """Label with the maximal count; ties go to the lowest label id."""
-        if not self.counts:
-            raise ValueError("empty label memory")
-        best_label = -1
-        best_count = 0
-        for label, count in self.counts.items():
-            if count > best_count or (count == best_count and label < best_label):
-                best_label, best_count = label, count
-        return best_label
+    def rename(self, targets: dict[int, int]) -> bool:
+        """Move the occurrences of each label in targets to its target label,
+        which must not itself be renamed; report whether any label moved."""
+        counts = self.counts
+        moved = [label for label in counts if label in targets]
+        if not moved:
+            return False
+        for label in moved:
+            target = targets[label]
+            counts[target] = counts.get(target, 0) + counts.pop(label)
+        self._elect()
+        return True
+
+    def _contest(self, label: int) -> None:
+        """Make label the top if it has a higher count, or the same count and
+        a lower id."""
+        counts, top = self.counts, self.top
+        count, top_count = counts[label], counts[top]
+        if count > top_count or (count == top_count and label < top):
+            self.top = label
+
+    def _elect(self) -> None:
+        """Find the top label afresh, after it lost or changed occurrences."""
+        labels = iter(self.counts)
+        self.top = next(labels)
+        for label in labels:
+            self._contest(label)
 
     def __repr__(self) -> str:
         return f"LabelMemory({self.counts!r})"
@@ -89,8 +110,6 @@ def init_memories(g: Graph) -> list[LabelMemory]:
 
 def speak(memory: LabelMemory, rng: random.Random) -> int:
     """Draw a label with probability proportional to its occurrence count."""
-    if memory.total <= 0:
-        raise ValueError("cannot speak from an empty memory")
     x = rng.randrange(memory.total)
     for label, count in memory.counts.items():
         x -= count
@@ -122,17 +141,16 @@ def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
 
 
 def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
-                    tops: list[int], cl_partners: dict[int, set[int]],
-                    rng: random.Random, schedule: str) -> None:
+                    cl_partners: dict[int, set[int]], rng: random.Random,
+                    schedule: str) -> None:
     """One pass over the listeners chosen by `schedule`.
 
     Each listener v collects one spoken label from every node in speakers[v],
-    drops each label that is the current top of one of its cannot-link
-    partners (cl_partners[v]), and adds the most popular remaining label to
-    its memory. A listener with no speakers, or whose labels are all dropped,
-    is unchanged. tops holds each node's top label (as LabelMemory.top) and
-    is kept current as labels arrive. With adjacency lists as speakers and no
-    partners this is the unsupervised pass.
+    drops each label that is the current top (LabelMemory.top) of one of its
+    cannot-link partners (cl_partners[v]), and adds the most popular
+    remaining label to its memory. A listener with no speakers, or whose
+    labels are all dropped, is unchanged. With adjacency lists as speakers
+    and no partners this is the unsupervised pass.
     """
     for v in listener_order(len(speakers), schedule, rng):
         node_speakers = speakers[v]
@@ -141,18 +159,11 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
         received = [speak(memories[u], rng) for u in node_speakers]
         partners = cl_partners.get(v)
         if partners:
-            blocked = {tops[p] for p in partners}
+            blocked = {memories[p].top for p in partners}
             received = [label for label in received if label not in blocked]
             if not received:
                 continue
-        label = listen(received, rng)
-        memory = memories[v]
-        memory.add(label)
-        top = tops[v]
-        if label != top:
-            count, top_count = memory.counts[label], memory.counts[top]
-            if count > top_count or (count == top_count and label < top):
-                tops[v] = label
+        memories[v].add(listen(received, rng))
 
 
 def post_process(memories: list[LabelMemory], threshold: float) -> Cover:
@@ -169,7 +180,7 @@ def post_process(memories: list[LabelMemory], threshold: float) -> Cover:
         total = memory.total
         kept = [label for label, count in memory.counts.items() if count / total >= threshold]
         if not kept:
-            kept = [memory.top()]
+            kept = [memory.top]
         for label in kept:
             groups.setdefault(label, set()).add(v)
     return Cover(groups[label] for label in sorted(groups))
@@ -182,7 +193,6 @@ def run_slpa(g: Graph, params: SlpaParams) -> Cover:
     """
     rng = random.Random(params.seed)
     memories = init_memories(g)
-    tops = list(range(g.n))
     for _ in range(params.iterations):
-        evaluation_pass(g.adjacency, memories, tops, {}, rng, params.listener_schedule)
+        evaluation_pass(g.adjacency, memories, {}, rng, params.listener_schedule)
     return post_process(memories, params.threshold)

@@ -73,6 +73,20 @@ def test_nmi_merged_cover_scores_half(planted, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.500000"
 
 
+@pytest.mark.parametrize("with_edges", [False, True])
+def test_nmi_rejects_an_unknown_universe_from_config(planted, tmp_path, capsys, with_edges):
+    edges, truth = planted
+    cfg = tmp_path / "nmi.cfg"
+    cfg.write_text("universe = half\n")
+    argv = ["nmi", str(truth), "--truth", str(truth), "--config", str(cfg)]
+    if with_edges:
+        argv += ["--edges", str(edges)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unknown universe mode 'half'" in captured.err
+
+
 def test_select_constraints_round_trips(planted, tmp_path):
     edges, truth = planted
     out = tmp_path / "pairs.txt"

@@ -59,8 +59,6 @@ def test_store_tracks_pairs_and_queries():
     assert s.cl == {(2, 3)}
     assert s.queries_used == 2
     assert len(s) == 2
-    assert s.has_pair(1, 4) and s.has_pair(4, 1)
-    assert not s.has_pair(1, 2)
     assert s.ml_partners(1) == {4}
     assert s.ml_partners(4) == {1}
     assert s.cl_partners(3) == {2}

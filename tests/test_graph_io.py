@@ -57,7 +57,7 @@ def test_self_loops_dropped_but_node_kept():
     g = load_edge_list(io.StringIO("7 7\n7 8\n"))
     assert g.n == 2
     assert g.m == 1
-    assert g.degree(0) == 1
+    assert len(g.adjacency[0]) == 1
 
 
 def test_reversed_duplicates_collapse():
@@ -99,12 +99,10 @@ def test_adjacency_sorted_and_degree_sum():
     edges = [(0, 3), (0, 1), (2, 0), (1, 3)]
     g = build_graph(4, edges)
     assert g.adjacency[0] == [1, 2, 3]
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+    assert sum(len(g.adjacency[v]) for v in range(g.n)) == 2 * g.m
     assert g.has_edge(0, 2)
     assert g.has_edge(2, 0)
     assert not g.has_edge(1, 2)
-    with pytest.raises(IndexError):
-        g.degree(4)
 
 
 def test_edges_iterates_each_pair_once_sorted():
@@ -146,13 +144,11 @@ def test_cover_dedup_and_empty_rejection():
         Cover([{1}, set()])
 
 
-def test_cover_memberships_and_restrict():
+def test_cover_memberships_and_nodes():
     c = Cover([{1, 2, 3}, {3, 4}])
     assert c.memberships(3) == [0, 1]
     assert c.memberships(9) == []
     assert c.nodes() == {1, 2, 3, 4}
-    r = c.restrict({1, 2})
-    assert [set(x) for x in r.communities] == [{1, 2}]
 
 
 def test_load_cover_strict_and_lenient():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from test_slpa import argmax, mem
 
 from pcslpa.constrained import (
     DEFAULT_REPAIR_EVERY,
@@ -22,7 +23,6 @@ from pcslpa.constrained import (
     place_orphans,
     repair_cannot_link,
     repair_must_link,
-    run_pcslpa,
     run_pcslpa_report,
 )
 from pcslpa.constraints import Budget, ConstraintStore, GroundTruthOracle, select_constraints
@@ -38,36 +38,25 @@ from pcslpa.slpa import (
 )
 
 
-def mem(counts: dict[int, int]) -> LabelMemory:
-    m = LabelMemory()
-    for label, k in counts.items():
-        m.add(label, k)
-    return m
-
-
 def cover_key(cover):
     return {frozenset(c) for c in cover.communities}
-
-
-def tops_of(mems: list[LabelMemory]) -> list[int]:
-    return [m.top() for m in mems]
 
 
 def constrained_pass(g, store, mems, rng) -> None:
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
     cl_partners = {v: store.cl_partners(v) for v in range(g.n)}
-    constrained_evaluation_pass(speakers, mems, tops_of(mems), cl_partners, rng, "sweep")
+    constrained_evaluation_pass(speakers, mems, cl_partners, rng, "sweep")
 
 
 def ml_repair(mems, store) -> RepairReport:
-    return repair_must_link(mems, store, tops_of(mems), RepairReport(), set())
+    return repair_must_link(mems, store, RepairReport(), set())
 
 
 def cl_repair_by_count(mems, store, rng) -> RepairReport:
     # with no speakers both support terms are 0, so counts and then the coin
     # decide
     return repair_cannot_link(mems, store, rng, RepairReport(), sorted(store.cl),
-                              [[]] * len(mems), tops_of(mems))
+                              [[]] * len(mems))
 
 
 def test_init_exchanges_labels_across_must_link_pairs():
@@ -159,40 +148,43 @@ def test_listener_rejects_the_partner_top_not_the_partner_id():
     assert mems[0].counts == {0: 1, 7: 1}
 
 
-def test_cached_tops_track_label_memory_top():
+def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
     g, truth = gen_planted_overlap(3, 10, 2, 0.6, 0.05, seed=4)
     store = select_constraints(g, GroundTruthOracle(truth),
                                Budget.from_fraction(0.1, g.n), rng=random.Random(4))
     mems = init_constrained(g, store)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
     cl_partners = {v: store.cl_partners(v) for v in range(g.n)}
-    tops = [m.top() for m in mems]
     rng = random.Random(9)
+
+    def tops_are_argmax() -> bool:
+        return [m.top for m in mems] == [argmax(m.counts) for m in mems]
+
     for _ in range(6):
-        constrained_evaluation_pass(speakers, mems, tops, cl_partners, rng, "sweep")
-        assert tops == [m.top() for m in mems]
+        constrained_evaluation_pass(speakers, mems, cl_partners, rng, "sweep")
+        assert tops_are_argmax()
     report, gained = RepairReport(), set()
-    merge_linked_labels(mems, store, tops, report, gained)
-    assert tops == [m.top() for m in mems]
-    repair_must_link(mems, store, tops, report, gained)
-    assert tops == [m.top() for m in mems]
-    repair_cannot_link(mems, store, rng, report, sorted(store.cl), speakers, tops)
+    merge_linked_labels(mems, store, report, gained)
+    assert report.label_merges > 0
+    assert tops_are_argmax()
+    repair_must_link(mems, store, report, gained)
+    assert tops_are_argmax()
+    repair_cannot_link(mems, store, rng, report, sorted(store.cl), speakers)
     assert report.cl_deletions > 0
-    assert tops == [m.top() for m in mems]
+    assert tops_are_argmax()
 
 
 def test_merge_joins_linked_tops_everywhere():
     store = ConstraintStore()
     store.add_must_link(0, 1)
     mems = [mem({10: 3, 5: 1}), mem({11: 2}), mem({11: 4, 10: 1})]
-    tops = [m.top() for m in mems]
     gained = set()
-    report = merge_linked_labels(mems, store, tops, RepairReport(), gained)
+    report = merge_linked_labels(mems, store, RepairReport(), gained)
     assert report.label_merges == 1
     assert mems[0].counts == {10: 3, 5: 1}
     assert mems[1].counts == {10: 2}
     assert mems[2].counts == {10: 5}
-    assert tops == [10, 10, 10]
+    assert [m.top for m in mems] == [10, 10, 10]
     assert gained == {1, 2}
 
 
@@ -201,8 +193,7 @@ def test_merge_is_vetoed_by_a_separating_cannot_link():
     store.add_must_link(0, 1)
     store.add_cannot_link(2, 3)
     mems = [mem({10: 3}), mem({11: 2}), mem({10: 2}), mem({11: 5})]
-    tops = [m.top() for m in mems]
-    report = merge_linked_labels(mems, store, tops, RepairReport(), set())
+    report = merge_linked_labels(mems, store, RepairReport(), set())
     assert report.label_merges == 0
     assert [m.counts for m in mems] == [{10: 3}, {11: 2}, {10: 2}, {11: 5}]
 
@@ -238,12 +229,11 @@ def test_cl_repair_by_support_strips_the_less_embedded_side():
     mems = [mem({100: 2, 7: 3}), mem({100: 5, 8: 1}),
             mem({100: 1}), mem({100: 1}), mem({100: 1}), mem({9: 1})]
     speakers = [[2, 3], [4, 5], [], [], [], []]
-    tops = [m.top() for m in mems]
     report = repair_cannot_link(mems, store, random.Random(0), RepairReport(),
-                                sorted(store.cl), speakers, tops)
+                                sorted(store.cl), speakers)
     assert mems[0].counts == {100: 2, 7: 3}
     assert mems[1].counts == {8: 1}
-    assert tops[1] == 8
+    assert mems[1].top == 8
     assert report.cl_deletions == 1
 
 
@@ -253,7 +243,7 @@ def test_cl_repair_checks_only_the_given_pairs():
     store.add_cannot_link(2, 3)
     mems = [mem({100: 3, 1: 1}), mem({100: 2, 2: 1}), mem({200: 3, 3: 1}), mem({200: 2, 4: 1})]
     report = repair_cannot_link(mems, store, random.Random(0), RepairReport(), [(0, 1)],
-                                [[]] * len(mems), tops_of(mems))
+                                [[]] * len(mems))
     assert report.cl_deletions == 1
     assert 100 not in mems[1].counts
     assert 200 in mems[2].counts and 200 in mems[3].counts
@@ -377,7 +367,7 @@ def test_empty_store_reduces_to_unsupervised_run():
             base = SlpaParams(iterations=40, threshold=0.1, seed=seed,
                               listener_schedule=schedule)
             plain = run_slpa(g, base)
-            constrained = run_pcslpa(g, ConstraintStore(), PcSlpaParams(base=base))
+            constrained = run_pcslpa_report(g, ConstraintStore(), PcSlpaParams(base=base))[0]
             assert cover_key(plain) == cover_key(constrained)
 
 

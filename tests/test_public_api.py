@@ -1,0 +1,66 @@
+"""Every public name has a caller besides its own tests.
+
+Parses the package modules (all but `__init__.py`) and the benchmark
+scripts with `ast`, without importing the benchmark, and checks that each
+name in `pcslpa.__all__` is read somewhere outside its own definition. A
+name only the tests reach should be deleted rather than exported.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pcslpa
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "pcslpa").glob("*.py") if p.name != "__init__.py")
+SOURCES += sorted((ROOT / "bench").glob("*.py"))
+
+
+def _definitions(tree: ast.Module) -> list[ast.AST]:
+    """Module-level defs, classes and assignments, with their bodies."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                 ast.Assign, ast.AnnAssign))]
+
+
+def _defined_names(node: ast.AST) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read in node: bare loads and attribute accesses."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def used_names() -> set[str]:
+    used = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(node): _defined_names(node) for node in _definitions(tree)}
+        reads = set()
+        for node in tree.body:
+            # a definition's own body (recursion, methods naming their class)
+            # is no use of that definition
+            reads |= _reads(node) - inside.get(id(node), set())
+        # `from m import name as alias`: reading alias uses name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                reads |= {a.name for a in node.names if a.asname in reads}
+        used |= reads
+    return used
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    unused = sorted(set(pcslpa.__all__) - used_names())
+    assert unused == []

@@ -33,6 +33,23 @@ def cover_key(cover):
     return {frozenset(c) for c in cover.communities}
 
 
+def mem(counts: dict[int, int]) -> LabelMemory:
+    """Memory holding the given counts, in the given order."""
+    items = iter(counts.items())
+    label, k = next(items)
+    m = LabelMemory(label)
+    m.add(label, k - 1)
+    for label, k in items:
+        m.add(label, k)
+    return m
+
+
+def argmax(counts: dict[int, int]) -> int:
+    """Brute-force top label: the maximal count, the lowest label on a tie."""
+    best = max(counts.values())
+    return min(label for label, count in counts.items() if count == best)
+
+
 def test_memory_add_and_total():
     m = LabelMemory(4)
     assert m.counts == {4: 1}
@@ -44,45 +61,74 @@ def test_memory_add_and_total():
 
 
 def test_memory_top_breaks_ties_toward_lowest_label():
-    m = LabelMemory()
-    m.add(8, 2)
+    m = mem({8: 2})
     m.add(3, 2)
     m.add(5, 1)
-    assert m.top() == 3
-    with pytest.raises(ValueError):
-        LabelMemory().top()
+    assert m.top == 3
 
 
-def test_memory_set_count_and_remove():
-    m = LabelMemory(1)
-    m.set_count(1, 5)
-    assert m.total == 5
+def test_memory_remove_keeps_the_last_label():
+    m = mem({1: 5})
     m.add(2, 3)
+    with pytest.raises(KeyError):
+        m.remove(99)
     m.remove(1)
     assert m.counts == {2: 3}
     assert m.total == 3
+    assert m.top == 2
     with pytest.raises(ValueError):
-        m.set_count(2, 0)
-    with pytest.raises(KeyError):
-        m.remove(99)
+        m.remove(2)
+    with pytest.raises(TypeError):
+        LabelMemory()
+
+
+def test_memory_rename_moves_counts_and_reelects_the_top():
+    m = mem({4: 3, 6: 2, 9: 2})
+    assert not m.rename({1: 0})
+    assert m.rename({6: 1, 9: 1})
+    assert m.counts == {4: 3, 1: 4}
+    assert m.total == 7
+    assert m.top == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6),
+       st.lists(st.one_of(
+           st.tuples(st.just("add"), st.integers(0, 6), st.integers(1, 4)),
+           st.tuples(st.just("remove"), st.integers(0, 6)),
+           st.tuples(st.just("rename"), st.dictionaries(st.integers(0, 6), st.integers(0, 6),
+                                                        max_size=3))),
+           max_size=30))
+def test_memory_top_and_total_track_every_operation(first, operations):
+    m = LabelMemory(first)
+    for operation in operations:
+        if operation[0] == "add":
+            m.add(operation[1], operation[2])
+        elif operation[0] == "remove":
+            if operation[1] not in m.counts or len(m.counts) == 1:
+                continue
+            m.remove(operation[1])
+        else:
+            # a target must not itself be renamed
+            targets = {label: target for label, target in operation[1].items()
+                       if target not in operation[1]}
+            m.rename(targets)
+        assert m.top == argmax(m.counts)
+        assert m.total == sum(m.counts.values())
 
 
 def test_speak_is_proportional_to_counts():
-    m = LabelMemory()
-    m.add(5, 3)
-    m.add(9, 1)
+    m = mem({5: 3, 9: 1})
     rng = random.Random(11)
     draws = 10_000
     hits = sum(1 for _ in range(draws) if speak(m, rng) == 5)
     assert hits / draws == pytest.approx(0.75, abs=0.02)
 
 
-def test_speak_single_label_and_empty_memory():
+def test_speak_single_label():
     m = LabelMemory(7)
     rng = random.Random(0)
     assert all(speak(m, rng) == 7 for _ in range(50))
-    with pytest.raises(ValueError):
-        speak(LabelMemory(), rng)
 
 
 def test_listen_picks_clear_majority():
@@ -125,7 +171,7 @@ def test_evaluation_pass_grows_connected_nodes_only():
     g = build_graph(3, [(0, 1)])
     mems = init_memories(g)
     rng = random.Random(5)
-    evaluation_pass(g.adjacency, mems, list(range(g.n)), {}, rng, "sweep")
+    evaluation_pass(g.adjacency, mems, {}, rng, "sweep")
     assert mems[0].total == 2
     assert mems[1].total == 2
     assert mems[2].total == 1
@@ -135,19 +181,15 @@ def test_evaluation_pass_grows_connected_nodes_only():
 def test_memory_totals_after_t_passes():
     g, _ = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
     mems = init_memories(g)
-    tops = list(range(g.n))
     rng = random.Random(6)
     t = 13
     for _ in range(t):
-        evaluation_pass(g.adjacency, mems, tops, {}, rng, "sweep")
+        evaluation_pass(g.adjacency, mems, {}, rng, "sweep")
     assert all(m.total == 1 + t for m in mems)
 
 
 def test_post_process_thresholding():
-    m = LabelMemory()
-    m.add(0, 7)
-    m.add(1, 2)
-    m.add(2, 1)
+    m = mem({0: 7, 1: 2, 2: 1})
     cover = post_process([m], threshold=0.25)
     assert cover_key(cover) == {frozenset({0})}
     assert len(cover) == 1
@@ -156,9 +198,7 @@ def test_post_process_thresholding():
 def test_post_process_fallback_keeps_top_label():
     # both labels fall below the cut; the node keeps exactly its top one,
     # lowest label id on a tie
-    m = LabelMemory()
-    m.add(3, 2)
-    m.add(1, 2)
+    m = mem({3: 2, 1: 2})
     cover = post_process([m], threshold=0.6)
     assert len(cover) == 1
     assert cover_key(cover) == {frozenset({0})}
@@ -169,9 +209,7 @@ def test_post_process_fallback_keeps_top_label():
 
 
 def test_post_process_zero_threshold_keeps_everything():
-    a = LabelMemory()
-    a.add(0, 1)
-    a.add(1, 9)
+    a = mem({0: 1, 1: 9})
     cover = post_process([a], threshold=0.0)
     # one node, two labels, two (deduped) communities of the same node
     assert cover_key(cover) == {frozenset({0})}
@@ -190,12 +228,7 @@ def test_post_process_validates_threshold():
                 min_size=1, max_size=6),
        st.floats(0.0, 1.0))
 def test_post_process_covers_every_node(count_maps, threshold):
-    mems = []
-    for counts in count_maps:
-        m = LabelMemory()
-        for label, k in counts.items():
-            m.add(label, k)
-        mems.append(m)
+    mems = [mem(counts) for counts in count_maps]
     cover = post_process(mems, threshold)
     covered = set().union(*cover.communities)
     assert covered == set(range(len(mems)))
