@@ -354,24 +354,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"scoring universe (default {DEFAULTS.universe}: "
                         "reference cover's nodes)")
     p.add_argument("--min-comm-size", type=int, default=None,
-                   help="drop reference communities below this size")
+                   help="drop reference communities below this size "
+                        f"(default {DEFAULTS.min_comm_size})")
     p.add_argument("--config", default=None, help="key = value config file")
     p.set_defaults(func=cmd_nmi)
 
     p = sub.add_parser("select-constraints", help="query the oracle, save the constraint file")
-    p.add_argument("--edges", default=None)
-    p.add_argument("--truth", default=None)
-    p.add_argument("--budget-pct", action="append", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--init-fraction", type=float, default=None)
-    p.add_argument("--min-comm-size", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--edges", default=None, help="edge list file, 'u v' per line")
+    p.add_argument("--truth", default=None,
+                   help="ground-truth cover that answers the queries, one community per line")
+    p.add_argument("--budget-pct", action="append", type=float, default=None,
+                   help="query budget as a fraction of all node pairs; give exactly one")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of the query order (default {DEFAULTS.seed})")
+    p.add_argument("--init-fraction", type=float, default=None,
+                   help="fraction of the budget spent per random seeding round "
+                        f"(default {DEFAULTS.init_fraction})")
+    p.add_argument("--min-comm-size", type=int, default=None,
+                   help="drop ground-truth communities below this size "
+                        f"(default {DEFAULTS.min_comm_size})")
+    p.add_argument("--config", default=None, help="key = value config file")
+    p.add_argument("--out", default=None,
+                   help="constraint file, 'u v ML|CL' per line (default stdout)")
     p.set_defaults(func=cmd_select_constraints)
 
     p = sub.add_parser("filter-truth", help="clean a raw ground-truth community file")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--truth", required=True)
+    p.add_argument("--edges", required=True, help="edge list file, 'u v' per line")
+    p.add_argument("--truth", required=True, help="raw ground-truth cover, one community per line")
     p.add_argument("--keep-largest", type=int, default=5000,
                    help="keep at most this many largest communities (default 5000)")
     p.add_argument("--min-comm-size", type=int, default=5,
@@ -380,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip dropping the lowest internal-density quartile")
     p.add_argument("--strict", action="store_true",
                    help="fail on membership tokens missing from the edge list")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_filter_truth)
 
     p = sub.add_parser("gen-planted", help="chain-of-communities synthetic network")
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shared nodes between adjacent communities (default 3)")
     p.add_argument("--p-in", type=float, default=1.0, help="intra-community edge probability")
     p.add_argument("--p-out", type=float, default=0.0, help="background edge probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p.add_argument("--out", required=True, help="edge list output path")
     p.add_argument("--truth-out", required=True, help="ground-truth cover output path")
     p.set_defaults(func=cmd_gen_planted)

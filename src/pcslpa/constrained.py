@@ -158,7 +158,10 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
 def _transfer_blocked(label: int, receiver: int, store: ConstraintStore,
                       memories: list[LabelMemory]) -> bool:
     """Is `label` the top of one of `receiver`'s cannot-link partners?"""
-    return any(memories[partner].top == label for partner in store.cl_partners(receiver))
+    for partner in store.cl_partners(receiver):
+        if memories[partner].top == label:
+            return True
+    return False
 
 
 def _transfer(memories: list[LabelMemory], receiver: int, label: int,

@@ -78,6 +78,7 @@ class RunResult:
     ml_blocked_transfers: int = 0
     cl_deletions: int = 0
     cl_guard_exceptions: int = 0
+    label_merges: int = 0
 
 
 def load_experiment_inputs(cfg: ExperimentConfig) -> tuple[Graph, Cover]:
@@ -114,7 +115,7 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
     if algo == ALGO_SLPA:
         store = None
         cover = run_slpa(g, base)
-        counters = (0, 0, 0, 0)
+        counters = (0, 0, 0, 0, 0)
     else:
         oracle = GroundTruthOracle(truth)
         budget = Budget.from_fraction(pct, g.n)
@@ -122,7 +123,7 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
         store = select_constraints(g, oracle, budget, cfg.init_fraction, select_rng)
         cover, report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=cfg.repair_every))
         counters = (report.ml_exchanges, report.ml_blocked_transfers,
-                    report.cl_deletions, report.cl_guard_exceptions)
+                    report.cl_deletions, report.cl_guard_exceptions, report.label_merges)
     ms = (time.perf_counter() - started) * 1000.0
     score = overlapping_nmi(truth, cover, universe)
     return RunResult(cfg.network_id, algo, pct, seed, score, ms, *counters), cover, store
@@ -174,14 +175,15 @@ def results_csv(results: list[RunResult], include_timing: bool = True) -> str:
     headers = ["network", "algo", "pct", "seed", "nmi"]
     if include_timing:
         headers.append("ms")
-    headers += ["ml_exchanges", "ml_blocked_transfers", "cl_deletions", "cl_guard_exceptions"]
+    headers += ["ml_exchanges", "ml_blocked_transfers", "cl_deletions", "cl_guard_exceptions",
+                "label_merges"]
     buf.write(",".join(headers) + "\n")
     for r in results:
         row = [r.network, r.algo, f"{r.pct:g}", str(r.seed), f"{r.nmi:.6f}"]
         if include_timing:
             row.append(f"{r.ms:.3f}")
         row += [str(r.ml_exchanges), str(r.ml_blocked_transfers),
-                str(r.cl_deletions), str(r.cl_guard_exceptions)]
+                str(r.cl_deletions), str(r.cl_guard_exceptions), str(r.label_merges)]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 

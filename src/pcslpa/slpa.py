@@ -9,12 +9,22 @@ keeps its top label, the most frequent one (the lowest id on a tie), as
 `memory.top`. The same pass loop runs the constrained variant
 (pcslpa.constrained), which supplies its own speaker lists and cannot-link
 partners, and whose listeners reject the top labels of those partners.
+
+A speaker draws x uniformly below its memory's total, by the rejection loop
+that CPython's `Random.randrange(total)` runs (getrandbits of
+total.bit_length() bits until one falls below total), and speaks the label
+whose span of the running counts, in the memory's insertion order, holds x.
+The memory keeps those running counts in a draw table, built when first
+needed after add, remove or rename dropped it, so a draw costs a bisection,
+O(log width), and consumes the same random stream as `randrange`.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import Cover, Graph
 
@@ -27,19 +37,31 @@ class LabelMemory:
 
     total tracks the sum of the counts and top the label with the maximal
     count, the lowest label id on a tie; add, remove and rename keep both
-    current.
+    current. table is the draw table, (labels, running counts) in insertion
+    order, or None until draw_table() builds it; add, remove and rename,
+    the only code that changes counts, drop it.
     """
 
-    __slots__ = ("counts", "total", "top")
+    __slots__ = ("counts", "total", "top", "table")
 
     def __init__(self, label: int):
         self.counts: dict[int, int] = {label: 1}
         self.total = 1
         self.top = label
+        self.table: tuple[list[int], list[int]] | None = None
+
+    def draw_table(self) -> tuple[list[int], list[int]]:
+        """Build and keep the draw table: the labels in insertion order and
+        their running counts, so label i holds the draws x with
+        cumulative[i-1] <= x < cumulative[i]."""
+        counts = self.counts
+        self.table = (list(counts), list(accumulate(counts.values())))
+        return self.table
 
     def add(self, label: int, k: int = 1) -> None:
         self.counts[label] = self.counts.get(label, 0) + k
         self.total += k
+        self.table = None
         self._contest(label)
 
     def remove(self, label: int) -> None:
@@ -47,6 +69,7 @@ class LabelMemory:
         if len(self.counts) == 1:
             raise ValueError("cannot remove the last label of a memory")
         self.total -= self.counts.pop(label)
+        self.table = None
         if label == self.top:
             self._elect()
 
@@ -60,6 +83,7 @@ class LabelMemory:
         for label in moved:
             target = targets[label]
             counts[target] = counts.get(target, 0) + counts.pop(label)
+        self.table = None
         self._elect()
         return True
 
@@ -108,16 +132,6 @@ def init_memories(g: Graph) -> list[LabelMemory]:
     return [LabelMemory(v) for v in range(g.n)]
 
 
-def speak(memory: LabelMemory, rng: random.Random) -> int:
-    """Draw a label with probability proportional to its occurrence count."""
-    x = rng.randrange(memory.total)
-    for label, count in memory.counts.items():
-        x -= count
-        if x < 0:
-            return label
-    raise AssertionError("memory total inconsistent with counts")
-
-
 def listen(received: list[int], rng: random.Random) -> int:
     """Most popular label among received; ties broken uniformly at random."""
     if not received:
@@ -151,12 +165,25 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
     remaining label to its memory. A listener with no speakers, or whose
     labels are all dropped, is unchanged. With adjacency lists as speakers
     and no partners this is the unsupervised pass.
+
+    Each speaker's draw is inlined: `rng.randrange(total)` by its own
+    rejection loop over getrandbits, then a bisection of the draw table.
     """
+    getrandbits = rng.getrandbits
     for v in listener_order(len(speakers), schedule, rng):
         node_speakers = speakers[v]
         if not node_speakers:
             continue
-        received = [speak(memories[u], rng) for u in node_speakers]
+        received = []
+        for u in node_speakers:
+            memory = memories[u]
+            labels, cumulative = memory.table or memory.draw_table()
+            total = memory.total
+            k = total.bit_length()
+            x = getrandbits(k)
+            while x >= total:
+                x = getrandbits(k)
+            received.append(labels[bisect_right(cumulative, x)])
         partners = cl_partners.get(v)
         if partners:
             blocked = {memories[p].top for p in partners}

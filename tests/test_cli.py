@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from pcslpa.cli import ParseError, load_config, main
+from pcslpa.cli import ParseError, build_parser, load_config, main
 
 
 @pytest.fixture()
@@ -184,3 +186,17 @@ def test_gen_planted_rejects_bad_parameters(tmp_path):
     rc = main(["gen-planted", "--comms", "2", "--size", "5", "--overlap", "5",
                "--out", str(tmp_path / "e.txt"), "--truth-out", str(tmp_path / "t.txt")])
     assert rc == 2
+
+
+def test_every_option_of_every_subcommand_has_help():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = []
+    for name, sub in [("pcslpa", parser)] + sorted(subparsers.choices.items()):
+        for action in sub._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                continue
+            if not (action.help or "").strip():
+                missing.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
+    assert len(subparsers.choices) == 7
+    assert missing == []

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from pcslpa.constrained import PcSlpaParams, RepairReport, run_pcslpa_report
 from pcslpa.graph import Cover, build_graph, write_cover, write_edge_list
 from pcslpa.harness import (
     ExperimentConfig,
@@ -15,14 +16,17 @@ from pcslpa.harness import (
     experiment_cells,
     filter_truth,
     internal_density,
+    load_experiment_inputs,
     mix_seed,
     results_csv,
+    run_cell,
     run_experiment,
     summarize,
     sweep_report,
     win_loss_table,
 )
 from pcslpa.planted import gen_planted_overlap
+from pcslpa.slpa import SlpaParams
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +125,30 @@ def test_summarize_means_and_deviation():
 
 
 def test_results_csv_layout():
-    rows = [RunResult("n1", "pcslpa", 0.05, 42, 0.123456789, 12.3456, 1, 2, 3, 0)]
+    rows = [RunResult("n1", "pcslpa", 0.05, 42, 0.123456789, 12.3456, 1, 2, 3, 0, 4)]
     timed = results_csv(rows)
     lines = timed.splitlines()
-    assert lines[0] == "network,algo,pct,seed,nmi,ms,ml_exchanges,ml_blocked_transfers,cl_deletions,cl_guard_exceptions"
-    assert lines[1] == "n1,pcslpa,0.05,42,0.123457,12.346,1,2,3,0"
+    assert lines[0] == ("network,algo,pct,seed,nmi,ms,ml_exchanges,ml_blocked_transfers,"
+                        "cl_deletions,cl_guard_exceptions,label_merges")
+    assert lines[1] == "n1,pcslpa,0.05,42,0.123457,12.346,1,2,3,0,4"
     bare = results_csv(rows, include_timing=False)
-    assert bare.splitlines()[0] == "network,algo,pct,seed,nmi,ml_exchanges,ml_blocked_transfers,cl_deletions,cl_guard_exceptions"
+    assert bare.splitlines()[0] == ("network,algo,pct,seed,nmi,ml_exchanges,ml_blocked_transfers,"
+                                    "cl_deletions,cl_guard_exceptions,label_merges")
     assert ",12.346," not in bare
+
+
+def test_run_cell_forwards_every_repair_counter(planted_files):
+    edges, cover = planted_files
+    cfg = ExperimentConfig(edges=edges, truth=cover, algorithm="pcslpa",
+                           budget_pcts=(0.3,), iterations=20, runs=1, seed=3)
+    g, truth = load_experiment_inputs(cfg)
+    result, _, store = run_cell(g, truth, cfg, "pcslpa", 0.3, 0)
+    params = PcSlpaParams(base=SlpaParams(iterations=20, seed=result.seed),
+                          repair_every=cfg.repair_every)
+    report = run_pcslpa_report(g, store, params)[1]
+    assert report.label_merges > 0
+    assert RepairReport(result.ml_exchanges, result.ml_blocked_transfers, result.cl_deletions,
+                        result.cl_guard_exceptions, result.label_merges) == report
 
 
 def test_sweep_report_orders_cells_and_networks():

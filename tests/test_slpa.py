@@ -8,6 +8,7 @@ they are stable under any correct implementation.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from pcslpa.slpa import (
     listener_order,
     post_process,
     run_slpa,
-    speak,
 )
 
 
@@ -48,6 +48,38 @@ def argmax(counts: dict[int, int]) -> int:
     """Brute-force top label: the maximal count, the lowest label on a tie."""
     best = max(counts.values())
     return min(label for label, count in counts.items() if count == best)
+
+
+def speak(memory: LabelMemory, rng: random.Random) -> int:
+    """Reference draw: `randrange(total)`, then a linear scan of the counts in
+    insertion order."""
+    x = rng.randrange(memory.total)
+    for label, count in memory.counts.items():
+        x -= count
+        if x < 0:
+            return label
+    raise AssertionError("memory total inconsistent with counts")
+
+
+def reference_pass(speakers, memories, cl_partners, rng, schedule) -> None:
+    """The pass loop with the reference draw; evaluation_pass must match it
+    draw for draw."""
+    for v in listener_order(len(speakers), schedule, rng):
+        if not speakers[v]:
+            continue
+        received = [speak(memories[u], rng) for u in speakers[v]]
+        partners = cl_partners.get(v)
+        if partners:
+            blocked = {memories[p].top for p in partners}
+            received = [label for label in received if label not in blocked]
+            if not received:
+                continue
+        memories[v].add(listen(received, rng))
+
+
+def state(memory: LabelMemory):
+    """What the pass reads of a memory: counts in insertion order, total, top."""
+    return list(memory.counts.items()), memory.total, memory.top
 
 
 def test_memory_add_and_total():
@@ -102,6 +134,8 @@ def test_memory_rename_moves_counts_and_reelects_the_top():
 def test_memory_top_and_total_track_every_operation(first, operations):
     m = LabelMemory(first)
     for operation in operations:
+        # a table built before the operation must not outlive it
+        m.draw_table()
         if operation[0] == "add":
             m.add(operation[1], operation[2])
         elif operation[0] == "remove":
@@ -115,20 +149,88 @@ def test_memory_top_and_total_track_every_operation(first, operations):
             m.rename(targets)
         assert m.top == argmax(m.counts)
         assert m.total == sum(m.counts.values())
+        fresh = (list(m.counts), list(accumulate(m.counts.values())))
+        assert m.table in (None, fresh)
+        assert m.draw_table() == fresh
+        assert m.table == fresh
+
+
+def listen_to(memory: LabelMemory, passes: int, seed: int) -> dict[int, int]:
+    """Labels that a lone listener (label -1) hears from `memory` over the
+    given number of passes, with their counts."""
+    memories = [LabelMemory(-1), memory]
+    rng = random.Random(seed)
+    for _ in range(passes):
+        evaluation_pass([[1], []], memories, {}, rng, "sweep")
+    heard = dict(memories[0].counts)
+    heard[-1] -= 1
+    return {label: count for label, count in heard.items() if count}
 
 
 def test_speak_is_proportional_to_counts():
-    m = mem({5: 3, 9: 1})
-    rng = random.Random(11)
     draws = 10_000
-    hits = sum(1 for _ in range(draws) if speak(m, rng) == 5)
-    assert hits / draws == pytest.approx(0.75, abs=0.02)
+    heard = listen_to(mem({5: 3, 9: 1}), draws, seed=11)
+    assert sum(heard.values()) == draws
+    assert heard[5] / draws == pytest.approx(0.75, abs=0.02)
 
 
 def test_speak_single_label():
-    m = LabelMemory(7)
-    rng = random.Random(0)
-    assert all(speak(m, rng) == 7 for _ in range(50))
+    assert listen_to(LabelMemory(7), 50, seed=0) == {7: 50}
+
+
+def test_draw_is_randrange_of_the_total():
+    # Label x of a memory holding labels 0..total-1 once each spans exactly
+    # the draw x, so the label heard is the draw itself. The pass must draw
+    # what randrange(total) draws on this interpreter, and consume the same
+    # stream, for every total up to 4096.
+    for seed in (0, 1, 12345):
+        rng, reference = random.Random(seed), random.Random(seed)
+        speaker = LabelMemory(0)
+        for total in range(1, 4097):
+            listener = LabelMemory(-1)
+            evaluation_pass([[1], []], [listener, speaker], {}, rng, "sweep")
+            reference.shuffle([0, 1])
+            assert list(listener.counts) == [-1, reference.randrange(total)]
+            assert rng.getstate() == reference.getstate()
+            speaker.add(total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3),
+           st.lists(st.tuples(st.sampled_from(("add", "remove", "rename")),
+                              st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5)),
+                    max_size=6))),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(("sweep", "uniform_draws")),
+       st.integers(1, 4))
+def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
+    n, edges, cannot_links, operations = case
+    g = build_graph(n, edges)
+    cl_partners: dict[int, set[int]] = {}
+    for u, v in cannot_links:
+        if u != v:
+            cl_partners.setdefault(u, set()).add(v)
+            cl_partners.setdefault(v, set()).add(u)
+    fast, slow = init_memories(g), init_memories(g)
+    rng_fast, rng_slow = random.Random(seed), random.Random(seed)
+    for _ in range(passes):
+        evaluation_pass(g.adjacency, fast, cl_partners, rng_fast, schedule)
+        reference_pass(g.adjacency, slow, cl_partners, rng_slow, schedule)
+        assert [state(m) for m in fast] == [state(m) for m in slow]
+        assert rng_fast.getstate() == rng_slow.getstate()
+        # change memories between passes, as repairs do
+        for op, v, label, k in operations:
+            for memories in (fast, slow):
+                m = memories[v]
+                if op == "add":
+                    m.add(label, k)
+                elif op == "remove" and label in m.counts and len(m.counts) > 1:
+                    m.remove(label)
+                elif op == "rename" and label != k:
+                    m.rename({label: k})
 
 
 def test_listen_picks_clear_majority():
