@@ -245,7 +245,7 @@ def cmd_select_constraints(args) -> int:
     g = load_edge_list(edges)
     min_size = resolve(args, config, "min_comm_size", DEFAULTS.min_comm_size, int)
     truth = load_cover(truth_path, g.ids, min_size=min_size)
-    budget = Budget.from_fraction(pcts[0], g.n)
+    budget = Budget.from_fraction(pcts[0], len(truth.nodes()))
     seed = resolve(args, config, "seed", DEFAULTS.seed, int)
     rng = random.Random(mix_seed(seed, "select"))
     init_fraction = resolve(args, config, "init_fraction", DEFAULTS.init_fraction, float)

@@ -7,7 +7,11 @@ label, `memory.top`, which its LabelMemory keeps current:
 * speaker sets: must-link partners join and cannot-link partners leave each
   listener's speaker set;
 * listening: a listener rejects every received label that is the current top
-  label of one of its cannot-link partners;
+  label of one of its cannot-link partners. A PartnerTops index, built once
+  per run after initialization, holds each constrained node's multiset of
+  partners' tops, so the check is one lookup; the pass and every repair step
+  that moves a constrained node's top (must-link transfers, cannot-link
+  deletions, label merges) update it, and must-link repair reads it too;
 * repair, after every `repair_every`-th pass and after the last: top labels
   that a must-link pair joins and no cannot-link pair separates merge into
   one; each must-link pair whose tops still differ is aligned one way; labels
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .constraints import ConstraintStore
 from .graph import Cover, Graph
-from .slpa import LabelMemory, SlpaParams, post_process
+from .slpa import LabelMemory, PartnerTops, SlpaParams, post_process
 from .slpa import evaluation_pass as constrained_evaluation_pass
 
 # Communities of this many nodes or fewer are orphan communities.
@@ -91,7 +95,8 @@ def constrained_speaker_set(g: Graph, store: ConstraintStore, listener: int) -> 
 
 
 def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
-                        report: RepairReport, gained: set[int]) -> RepairReport:
+                        report: RepairReport, gained: set[int],
+                        partner_tops: PartnerTops) -> RepairReport:
     """Merge top labels that a must-link joins and no cannot-link separates.
 
     A must-link pair whose endpoints top on labels a and b links a and b; a
@@ -100,7 +105,9 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     and each joins its two label groups unless a cannot-link separates the
     groups. Every memory then holds each group's occurrences under the
     group's smallest label. Nodes whose label set changed are added to
-    gained."""
+    gained, and a renamed memory whose top moved is reported to
+    partner_tops (a rename can re-elect a different label, so the index's
+    keys cannot simply be renamed)."""
     tops = [memory.top for memory in memories]
     links: dict[tuple[int, int], int] = {}
     for u, v in store.ml:
@@ -111,14 +118,13 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     if not links:
         return report
     # Only linked labels can join a group, so only their separations count.
-    # Lists rather than sets keep this small while most tops still differ.
     linked = {label for pair in links for label in pair}
-    separated: dict[int, list[int]] = {}
+    separated: dict[int, set[int]] = {}
     for u, v in store.cl:
         a, b = tops[u], tops[v]
         if a != b and a in linked and b in linked:
-            separated.setdefault(a, []).append(b)
-            separated.setdefault(b, []).append(a)
+            separated.setdefault(a, set()).add(b)
+            separated.setdefault(b, set()).add(a)
     by_count: dict[int, list[tuple[int, int]]] = {}
     for pair, count in links.items():
         by_count.setdefault(count, []).append(pair)
@@ -141,41 +147,36 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
                 continue
             parent[high] = low
             report.label_merges += 1
-            moved = separated.pop(high, [])
-            for x in set(moved):
+            moved = separated.pop(high, set())
+            for x in moved:
                 others = separated[x]
-                others[:] = [low if y == high else y for y in others]
-            separated.setdefault(low, []).extend(moved)
+                others.discard(high)
+                others.add(low)
+            separated.setdefault(low, set()).update(moved)
     if not parent:
         return report
     targets = {label: group(label) for label in parent}
     for v, memory in enumerate(memories):
         if memory.rename(targets):
             gained.add(v)
+            partner_tops.moved(v, tops[v], memory.top)
     return report
 
 
-def _transfer_blocked(label: int, receiver: int, store: ConstraintStore,
-                      memories: list[LabelMemory]) -> bool:
-    """Is `label` the top of one of `receiver`'s cannot-link partners?"""
-    for partner in store.cl_partners(receiver):
-        if memories[partner].top == label:
-            return True
-    return False
-
-
 def _transfer(memories: list[LabelMemory], receiver: int, label: int,
-              gained: set[int]) -> None:
+              gained: set[int], partner_tops: PartnerTops) -> None:
     """Raise `label` at `receiver` to its maximum count, so it ties for top."""
     memory = memories[receiver]
-    counts = memory.counts
+    counts, top = memory.counts, memory.top
     if label not in counts:
         gained.add(receiver)
-    memory.add(label, counts[memory.top] - counts.get(label, 0))
+    memory.add(label, counts[top] - counts.get(label, 0))
+    partner_tops.moved(receiver, top, memory.top)
 
 
 def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
-                     report: RepairReport, gained: set[int]) -> RepairReport:
+                     report: RepairReport, gained: set[int],
+                     partner_tops: PartnerTops) -> RepairReport:
     """Align each must-link pair on a shared top label, one way.
 
     For a pair whose top labels differ, the node whose top holds the smaller
@@ -183,7 +184,8 @@ def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
     label, raised to its own current maximum count so that it ties for top.
     The partner receives instead only if that transfer is blocked: a transfer
     to a node is blocked when one of that node's cannot-link partners tops on
-    the label.
+    the label, which partner_tops answers by lookup and transfers keep
+    current.
 
     gained: collects the nodes that receive a label they did not hold."""
     for u, v in sorted(store.ml):
@@ -197,10 +199,10 @@ def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
         else:
             order = ((v, top_u), (u, top_v))
         for receiver, label in order:
-            if _transfer_blocked(label, receiver, store, memories):
+            if partner_tops.blocks(receiver, label):
                 report.ml_blocked_transfers += 1
             else:
-                _transfer(memories, receiver, label, gained)
+                _transfer(memories, receiver, label, gained, partner_tops)
                 break
     return report
 
@@ -212,7 +214,7 @@ def _support(label: int, node: int, speakers: list[list[int]],
     return sum(1 for u in node_speakers if memories[u].top == label), len(node_speakers)
 
 
-def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
+def repair_cannot_link(memories: list[LabelMemory], partner_tops: PartnerTops,
                        rng: random.Random, report: RepairReport,
                        pairs: list[tuple[int, int]],
                        speakers: list[list[int]]) -> RepairReport:
@@ -223,7 +225,8 @@ def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
     with the smaller count, then one chosen uniformly at random. A node
     holding only that one label keeps it and the deletion falls to the
     partner; if both would be emptied the pair stays in violation and the
-    guard counter increments."""
+    guard counter increments. A deletion that moves the loser's top is
+    reported to partner_tops."""
     for u, v in pairs:
         mu, mv = memories[u], memories[v]
         common = mu.counts.keys() & mv.counts.keys()
@@ -247,7 +250,10 @@ def repair_cannot_link(memories: list[LabelMemory], store: ConstraintStore,
                 if len(memories[loser].counts) == 1:
                     report.cl_guard_exceptions += 1
                     continue
-            memories[loser].remove(label)
+            memory = memories[loser]
+            top = memory.top
+            memory.remove(label)
+            partner_tops.moved(loser, top, memory.top)
             report.cl_deletions += 1
     return report
 
@@ -305,6 +311,7 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     base = params.base
     rng = random.Random(base.seed)
     memories = init_constrained(g, store)
+    partner_tops = PartnerTops(store._cl_partners, memories)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
     cl_pairs = sorted(store.cl)
     report = RepairReport()
@@ -318,16 +325,15 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         # disjoint (guard cases aside), so a pair can only share a label again
         # once an endpoint gains one: the width test, merges and transfers.
         gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
-        merge_linked_labels(memories, store, report, gained)
-        repair_must_link(memories, store, report, gained)
+        merge_linked_labels(memories, store, report, gained, partner_tops)
+        repair_must_link(memories, store, report, gained, partner_tops)
         pairs = cl_pairs if final else [pair for pair in cl_pairs
                                         if pair[0] in gained or pair[1] in gained]
-        repair_cannot_link(memories, store, rng, report, pairs, speakers)
+        repair_cannot_link(memories, partner_tops, rng, report, pairs, speakers)
         widths = [len(memory.counts) for memory in memories]
 
-    cl_partners = store._cl_partners
     for i in range(1, base.iterations + 1):
-        constrained_evaluation_pass(speakers, memories, cl_partners, rng,
+        constrained_evaluation_pass(speakers, memories, partner_tops, rng,
                                     base.listener_schedule)
         final = i == base.iterations
         if final or i % params.repair_every == 0:

@@ -117,7 +117,9 @@ class GroundTruthOracle(Oracle):
 
 @dataclass(frozen=True)
 class Budget:
-    """Query budget as a fraction of all n·(n−1)/2 node pairs."""
+    """Query budget as a fraction of the n·(n−1)/2 pairs of the n eligible
+    nodes, those the oracle can answer for (the ground truth's covered
+    nodes), since selection draws only among them."""
 
     pct: float
     max_queries: int
@@ -130,9 +132,9 @@ class Budget:
 
     @classmethod
     def from_fraction(cls, pct: float, n_nodes: int) -> "Budget":
-        """floor(pct * n(n-1)/2), with pct read at decimal precision so that
-        e.g. pct=0.01, n=1000 gives exactly 4995 (float multiply can round
-        an integral product below its true value)."""
+        """floor(pct * n(n-1)/2) for n = n_nodes eligible nodes, with pct read
+        at decimal precision so that e.g. pct=0.01, n=1000 gives exactly 4995
+        (float multiply can round an integral product below its true value)."""
         if n_nodes < 0:
             raise ValueError("node count must be non-negative")
         total = n_nodes * (n_nodes - 1) // 2

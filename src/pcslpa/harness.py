@@ -118,7 +118,7 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
         counters = (0, 0, 0, 0, 0)
     else:
         oracle = GroundTruthOracle(truth)
-        budget = Budget.from_fraction(pct, g.n)
+        budget = Budget.from_fraction(pct, len(truth.nodes()))
         select_rng = random.Random(mix_seed(seed, "select"))
         store = select_constraints(g, oracle, budget, cfg.init_fraction, select_rng)
         cover, report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=cfg.repair_every))

@@ -14,9 +14,16 @@ A speaker draws x uniformly below its memory's total, by the rejection loop
 that CPython's `Random.randrange(total)` runs (getrandbits of
 total.bit_length() bits until one falls below total), and speaks the label
 whose span of the running counts, in the memory's insertion order, holds x.
-The memory keeps those running counts in a draw table, built when first
-needed after add, remove or rename dropped it, so a draw costs a bisection,
-O(log width), and consumes the same random stream as `randrange`.
+The memory keeps those running counts, with the total and its bit length, in
+a draw entry, built when first needed after add, remove or rename dropped
+it, so a draw costs a bisection, O(log width), and consumes the same random
+stream as `randrange`.
+
+A PartnerTops index keeps, for each node with cannot-link partners, the
+multiset of its partners' current tops. It is updated wherever a constrained
+node's top moves, so a listener's check of a received label is one lookup
+rather than a walk over its partners; the unsupervised run passes an empty
+index.
 """
 
 from __future__ import annotations
@@ -37,31 +44,39 @@ class LabelMemory:
 
     total tracks the sum of the counts and top the label with the maximal
     count, the lowest label id on a tie; add, remove and rename keep both
-    current. table is the draw table, (labels, running counts) in insertion
-    order, or None until draw_table() builds it; add, remove and rename,
-    the only code that changes counts, drop it.
+    current. draw is the draw entry, (labels, running counts, total,
+    total.bit_length()) in insertion order, or None until draw_table()
+    builds it; add, remove and rename, the only code that changes counts,
+    drop it.
     """
 
-    __slots__ = ("counts", "total", "top", "table")
+    __slots__ = ("counts", "total", "top", "draw")
 
     def __init__(self, label: int):
         self.counts: dict[int, int] = {label: 1}
         self.total = 1
         self.top = label
-        self.table: tuple[list[int], list[int]] | None = None
+        self.draw: tuple[list[int], list[int], int, int] | None = None
+
+    @property
+    def table(self) -> tuple[list[int], list[int]] | None:
+        """The draw table, (labels, running counts), or None until built."""
+        draw = self.draw
+        return None if draw is None else draw[:2]
 
     def draw_table(self) -> tuple[list[int], list[int]]:
-        """Build and keep the draw table: the labels in insertion order and
-        their running counts, so label i holds the draws x with
-        cumulative[i-1] <= x < cumulative[i]."""
-        counts = self.counts
-        self.table = (list(counts), list(accumulate(counts.values())))
-        return self.table
+        """Build and keep the draw entry and return its table: the labels in
+        insertion order and their running counts, so label i holds the draws
+        x with cumulative[i-1] <= x < cumulative[i]."""
+        counts, total = self.counts, self.total
+        labels, cumulative = list(counts), list(accumulate(counts.values()))
+        self.draw = (labels, cumulative, total, total.bit_length())
+        return labels, cumulative
 
     def add(self, label: int, k: int = 1) -> None:
         self.counts[label] = self.counts.get(label, 0) + k
         self.total += k
-        self.table = None
+        self.draw = None
         self._contest(label)
 
     def remove(self, label: int) -> None:
@@ -69,7 +84,7 @@ class LabelMemory:
         if len(self.counts) == 1:
             raise ValueError("cannot remove the last label of a memory")
         self.total -= self.counts.pop(label)
-        self.table = None
+        self.draw = None
         if label == self.top:
             self._elect()
 
@@ -83,7 +98,7 @@ class LabelMemory:
         for label in moved:
             target = targets[label]
             counts[target] = counts.get(target, 0) + counts.pop(label)
-        self.table = None
+        self.draw = None
         self._elect()
         return True
 
@@ -104,6 +119,49 @@ class LabelMemory:
 
     def __repr__(self) -> str:
         return f"LabelMemory({self.counts!r})"
+
+
+class PartnerTops:
+    """For each node with cannot-link partners, the multiset of its partners'
+    current top labels, {label: partners topping on it}, in blocked.
+
+    A listener rejects exactly the labels in its own multiset. Code that
+    moves the top of a node with partners reports the move through moved(),
+    which updates the multisets of that node's partners. Built from no
+    partners, the index blocks nothing.
+    """
+
+    __slots__ = ("partners", "blocked")
+
+    def __init__(self, partners: dict[int, set[int]], memories: list[LabelMemory]):
+        self.partners = partners
+        self.blocked: dict[int, dict[int, int]] = {}
+        for v, node_partners in partners.items():
+            if node_partners:
+                tops: dict[int, int] = {}
+                for p in node_partners:
+                    top = memories[p].top
+                    tops[top] = tops.get(top, 0) + 1
+                self.blocked[v] = tops
+
+    def blocks(self, v: int, label: int) -> bool:
+        """Is label the top of one of v's cannot-link partners?"""
+        tops = self.blocked.get(v)
+        return tops is not None and label in tops
+
+    def moved(self, v: int, old: int, new: int) -> None:
+        """Node v's top changed from old to new (a no-op when they are equal)."""
+        if old == new:
+            return
+        blocked = self.blocked
+        for p in self.partners.get(v, ()):
+            tops = blocked[p]
+            k = tops[old]
+            if k == 1:
+                del tops[old]
+            else:
+                tops[old] = k - 1
+            tops[new] = tops.get(new, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -155,21 +213,23 @@ def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
 
 
 def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
-                    cl_partners: dict[int, set[int]], rng: random.Random,
+                    partner_tops: PartnerTops, rng: random.Random,
                     schedule: str) -> None:
     """One pass over the listeners chosen by `schedule`.
 
     Each listener v collects one spoken label from every node in speakers[v],
     drops each label that is the current top (LabelMemory.top) of one of its
-    cannot-link partners (cl_partners[v]), and adds the most popular
-    remaining label to its memory. A listener with no speakers, or whose
-    labels are all dropped, is unchanged. With adjacency lists as speakers
-    and no partners this is the unsupervised pass.
+    cannot-link partners (one lookup in partner_tops), and adds the most
+    popular remaining label to its memory, reporting a move of its top to
+    partner_tops. A listener with no speakers, or whose labels are all
+    dropped, is unchanged. With adjacency lists as speakers and an empty
+    index this is the unsupervised pass.
 
     Each speaker's draw is inlined: `rng.randrange(total)` by its own
     rejection loop over getrandbits, then a bisection of the draw table.
     """
     getrandbits = rng.getrandbits
+    blocked = partner_tops.blocked
     for v in listener_order(len(speakers), schedule, rng):
         node_speakers = speakers[v]
         if not node_speakers:
@@ -177,20 +237,25 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
         received = []
         for u in node_speakers:
             memory = memories[u]
-            labels, cumulative = memory.table or memory.draw_table()
-            total = memory.total
-            k = total.bit_length()
+            draw = memory.draw
+            if draw is None:
+                memory.draw_table()
+                draw = memory.draw
+            labels, cumulative, total, k = draw
             x = getrandbits(k)
             while x >= total:
                 x = getrandbits(k)
             received.append(labels[bisect_right(cumulative, x)])
-        partners = cl_partners.get(v)
-        if partners:
-            blocked = {memories[p].top for p in partners}
-            received = [label for label in received if label not in blocked]
+        node_blocked = blocked.get(v)
+        if node_blocked:
+            received = [label for label in received if label not in node_blocked]
             if not received:
                 continue
-        memories[v].add(listen(received, rng))
+        memory = memories[v]
+        top = memory.top
+        memory.add(listen(received, rng))
+        if node_blocked and memory.top != top:
+            partner_tops.moved(v, top, memory.top)
 
 
 def post_process(memories: list[LabelMemory], threshold: float) -> Cover:
@@ -220,6 +285,7 @@ def run_slpa(g: Graph, params: SlpaParams) -> Cover:
     """
     rng = random.Random(params.seed)
     memories = init_memories(g)
+    partner_tops = PartnerTops({}, memories)
     for _ in range(params.iterations):
-        evaluation_pass(g.adjacency, memories, {}, rng, params.listener_schedule)
+        evaluation_pass(g.adjacency, memories, partner_tops, rng, params.listener_schedule)
     return post_process(memories, params.threshold)

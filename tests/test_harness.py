@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from pcslpa.cli import main
 from pcslpa.constrained import PcSlpaParams, RepairReport, run_pcslpa_report
 from pcslpa.graph import Cover, build_graph, write_cover, write_edge_list
 from pcslpa.harness import (
@@ -149,6 +150,24 @@ def test_run_cell_forwards_every_repair_counter(planted_files):
     assert report.label_merges > 0
     assert RepairReport(result.ml_exchanges, result.ml_blocked_transfers, result.cl_deletions,
                         result.cl_guard_exceptions, result.label_merges) == report
+
+
+def test_budget_counts_only_the_pairs_of_truth_covered_nodes(tmp_path):
+    # the truth covers 10 of 30 nodes: 45 eligible pairs, so a 20% budget is
+    # floor(0.2 * 45) = 9 queries, not floor(0.2 * 435) = 87, which exceeds
+    # the pool; both the sweep cell and select-constraints spend exactly 9
+    g = build_graph(30, [(v, v + 1) for v in range(29)])
+    truth = Cover([set(range(5)), set(range(5, 10))])
+    edges, cover, pairs = tmp_path / "e.txt", tmp_path / "t.txt", tmp_path / "p.txt"
+    write_edge_list(g, edges)
+    write_cover(truth, cover, g.ids)
+    cfg = ExperimentConfig(edges=edges, truth=cover, algorithm="pcslpa",
+                           budget_pcts=(0.2,), iterations=5, runs=1, seed=3)
+    store = run_cell(*load_experiment_inputs(cfg), cfg, "pcslpa", 0.2, 0)[2]
+    assert store.queries_used == 9
+    assert main(["select-constraints", "--edges", str(edges), "--truth", str(cover),
+                 "--budget-pct", "0.2", "--out", str(pairs)]) == 0
+    assert len(pairs.read_text().splitlines()) == 9
 
 
 def test_sweep_report_orders_cells_and_networks():

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_slpa import argmax, mem
 
 from pcslpa.constrained import (
@@ -25,13 +27,20 @@ from pcslpa.constrained import (
     repair_must_link,
     run_pcslpa_report,
 )
-from pcslpa.constraints import Budget, ConstraintStore, GroundTruthOracle, select_constraints
+from pcslpa.constraints import (
+    Budget,
+    ConstraintStore,
+    GroundTruthOracle,
+    canonical_pair,
+    select_constraints,
+)
 from pcslpa.graph import Cover, build_graph
 from pcslpa.planted import gen_planted_overlap
 from pcslpa.slpa import (
     SCHEDULE_SWEEP,
     SCHEDULE_UNIFORM,
     LabelMemory,
+    PartnerTops,
     SlpaParams,
     init_memories,
     run_slpa,
@@ -42,21 +51,40 @@ def cover_key(cover):
     return {frozenset(c) for c in cover.communities}
 
 
+def partner_tops(mems, store) -> PartnerTops:
+    return PartnerTops({v: store.cl_partners(v) for v in range(len(mems))}, mems)
+
+
+def recount_partner_tops(mems, store) -> dict[int, dict[int, int]]:
+    """Brute-force PartnerTops.blocked: each cannot-link endpoint's partners'
+    tops, counted from the store's pairs."""
+    recount: dict[int, dict[int, int]] = {}
+    for u, v in store.cl:
+        for node, partner in ((u, v), (v, u)):
+            tops = recount.setdefault(node, {})
+            top = mems[partner].top
+            tops[top] = tops.get(top, 0) + 1
+    return recount
+
+
 def constrained_pass(g, store, mems, rng) -> None:
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
-    cl_partners = {v: store.cl_partners(v) for v in range(g.n)}
-    constrained_evaluation_pass(speakers, mems, cl_partners, rng, "sweep")
+    constrained_evaluation_pass(speakers, mems, partner_tops(mems, store), rng, "sweep")
 
 
 def ml_repair(mems, store) -> RepairReport:
-    return repair_must_link(mems, store, RepairReport(), set())
+    return repair_must_link(mems, store, RepairReport(), set(), partner_tops(mems, store))
+
+
+def cl_repair(mems, store, rng, pairs, speakers) -> RepairReport:
+    return repair_cannot_link(mems, partner_tops(mems, store), rng, RepairReport(), pairs,
+                              speakers)
 
 
 def cl_repair_by_count(mems, store, rng) -> RepairReport:
     # with no speakers both support terms are 0, so counts and then the coin
     # decide
-    return repair_cannot_link(mems, store, rng, RepairReport(), sorted(store.cl),
-                              [[]] * len(mems))
+    return cl_repair(mems, store, rng, sorted(store.cl), [[]] * len(mems))
 
 
 def test_init_exchanges_labels_across_must_link_pairs():
@@ -154,24 +182,61 @@ def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
                                Budget.from_fraction(0.1, g.n), rng=random.Random(4))
     mems = init_constrained(g, store)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
-    cl_partners = {v: store.cl_partners(v) for v in range(g.n)}
+    index = partner_tops(mems, store)
     rng = random.Random(9)
 
     def tops_are_argmax() -> bool:
-        return [m.top for m in mems] == [argmax(m.counts) for m in mems]
+        return ([m.top for m in mems] == [argmax(m.counts) for m in mems]
+                and index.blocked == recount_partner_tops(mems, store))
 
     for _ in range(6):
-        constrained_evaluation_pass(speakers, mems, cl_partners, rng, "sweep")
+        constrained_evaluation_pass(speakers, mems, index, rng, "sweep")
         assert tops_are_argmax()
     report, gained = RepairReport(), set()
-    merge_linked_labels(mems, store, report, gained)
+    merge_linked_labels(mems, store, report, gained, index)
     assert report.label_merges > 0
     assert tops_are_argmax()
-    repair_must_link(mems, store, report, gained)
+    repair_must_link(mems, store, report, gained, index)
     assert tops_are_argmax()
-    repair_cannot_link(mems, store, rng, report, sorted(store.cl), speakers)
+    repair_cannot_link(mems, index, rng, report, sorted(store.cl), speakers)
     assert report.cl_deletions > 0
     assert tops_are_argmax()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 10).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+                    max_size=12))),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from((SCHEDULE_SWEEP, SCHEDULE_UNIFORM)))
+def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed, schedule):
+    n, edges, constraints = case
+    g = build_graph(n, edges)
+    store = ConstraintStore()
+    for u, v, must in constraints:
+        if u != v and canonical_pair(u, v) not in store.ml | store.cl:
+            (store.add_must_link if must else store.add_cannot_link)(u, v)
+    mems = init_constrained(g, store)
+    speakers = [constrained_speaker_set(g, store, v) for v in range(n)]
+    index = partner_tops(mems, store)
+    rng = random.Random(seed)
+    assert index.blocked == recount_partner_tops(mems, store)
+    for _ in range(3):
+        for _ in range(2):
+            constrained_evaluation_pass(speakers, mems, index, rng, schedule)
+            assert index.blocked == recount_partner_tops(mems, store)
+        report, gained = RepairReport(), set()
+        # also before a merge, which otherwise aligns most must-link tops
+        repair_must_link(mems, store, report, gained, index)
+        assert index.blocked == recount_partner_tops(mems, store)
+        merge_linked_labels(mems, store, report, gained, index)
+        assert index.blocked == recount_partner_tops(mems, store)
+        repair_must_link(mems, store, report, gained, index)
+        assert index.blocked == recount_partner_tops(mems, store)
+        repair_cannot_link(mems, index, rng, report, sorted(store.cl), speakers)
+        assert index.blocked == recount_partner_tops(mems, store)
 
 
 def test_merge_joins_linked_tops_everywhere():
@@ -179,7 +244,7 @@ def test_merge_joins_linked_tops_everywhere():
     store.add_must_link(0, 1)
     mems = [mem({10: 3, 5: 1}), mem({11: 2}), mem({11: 4, 10: 1})]
     gained = set()
-    report = merge_linked_labels(mems, store, RepairReport(), gained)
+    report = merge_linked_labels(mems, store, RepairReport(), gained, partner_tops(mems, store))
     assert report.label_merges == 1
     assert mems[0].counts == {10: 3, 5: 1}
     assert mems[1].counts == {10: 2}
@@ -193,7 +258,7 @@ def test_merge_is_vetoed_by_a_separating_cannot_link():
     store.add_must_link(0, 1)
     store.add_cannot_link(2, 3)
     mems = [mem({10: 3}), mem({11: 2}), mem({10: 2}), mem({11: 5})]
-    report = merge_linked_labels(mems, store, RepairReport(), set())
+    report = merge_linked_labels(mems, store, RepairReport(), set(), partner_tops(mems, store))
     assert report.label_merges == 0
     assert [m.counts for m in mems] == [{10: 3}, {11: 2}, {10: 2}, {11: 5}]
 
@@ -229,8 +294,7 @@ def test_cl_repair_by_support_strips_the_less_embedded_side():
     mems = [mem({100: 2, 7: 3}), mem({100: 5, 8: 1}),
             mem({100: 1}), mem({100: 1}), mem({100: 1}), mem({9: 1})]
     speakers = [[2, 3], [4, 5], [], [], [], []]
-    report = repair_cannot_link(mems, store, random.Random(0), RepairReport(),
-                                sorted(store.cl), speakers)
+    report = cl_repair(mems, store, random.Random(0), sorted(store.cl), speakers)
     assert mems[0].counts == {100: 2, 7: 3}
     assert mems[1].counts == {8: 1}
     assert mems[1].top == 8
@@ -242,8 +306,7 @@ def test_cl_repair_checks_only_the_given_pairs():
     store.add_cannot_link(0, 1)
     store.add_cannot_link(2, 3)
     mems = [mem({100: 3, 1: 1}), mem({100: 2, 2: 1}), mem({200: 3, 3: 1}), mem({200: 2, 4: 1})]
-    report = repair_cannot_link(mems, store, random.Random(0), RepairReport(), [(0, 1)],
-                                [[]] * len(mems))
+    report = cl_repair(mems, store, random.Random(0), [(0, 1)], [[]] * len(mems))
     assert report.cl_deletions == 1
     assert 100 not in mems[1].counts
     assert 200 in mems[2].counts and 200 in mems[3].counts

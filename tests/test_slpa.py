@@ -19,6 +19,7 @@ from pcslpa.nmi import overlapping_nmi
 from pcslpa.planted import gen_planted_overlap
 from pcslpa.slpa import (
     LabelMemory,
+    PartnerTops,
     SlpaParams,
     evaluation_pass,
     init_memories,
@@ -161,7 +162,7 @@ def listen_to(memory: LabelMemory, passes: int, seed: int) -> dict[int, int]:
     memories = [LabelMemory(-1), memory]
     rng = random.Random(seed)
     for _ in range(passes):
-        evaluation_pass([[1], []], memories, {}, rng, "sweep")
+        evaluation_pass([[1], []], memories, PartnerTops({}, memories), rng, "sweep")
     heard = dict(memories[0].counts)
     heard[-1] -= 1
     return {label: count for label, count in heard.items() if count}
@@ -188,7 +189,8 @@ def test_draw_is_randrange_of_the_total():
         speaker = LabelMemory(0)
         for total in range(1, 4097):
             listener = LabelMemory(-1)
-            evaluation_pass([[1], []], [listener, speaker], {}, rng, "sweep")
+            memories = [listener, speaker]
+            evaluation_pass([[1], []], memories, PartnerTops({}, memories), rng, "sweep")
             reference.shuffle([0, 1])
             assert list(listener.counts) == [-1, reference.randrange(total)]
             assert rng.getstate() == reference.getstate()
@@ -215,9 +217,12 @@ def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
             cl_partners.setdefault(u, set()).add(v)
             cl_partners.setdefault(v, set()).add(u)
     fast, slow = init_memories(g), init_memories(g)
+    # built once and kept current by the pass and by the reports below; the
+    # reference pass recounts the partners' tops at every listener instead
+    partner_tops = PartnerTops(cl_partners, fast)
     rng_fast, rng_slow = random.Random(seed), random.Random(seed)
     for _ in range(passes):
-        evaluation_pass(g.adjacency, fast, cl_partners, rng_fast, schedule)
+        evaluation_pass(g.adjacency, fast, partner_tops, rng_fast, schedule)
         reference_pass(g.adjacency, slow, cl_partners, rng_slow, schedule)
         assert [state(m) for m in fast] == [state(m) for m in slow]
         assert rng_fast.getstate() == rng_slow.getstate()
@@ -225,12 +230,15 @@ def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
         for op, v, label, k in operations:
             for memories in (fast, slow):
                 m = memories[v]
+                top = m.top
                 if op == "add":
                     m.add(label, k)
                 elif op == "remove" and label in m.counts and len(m.counts) > 1:
                     m.remove(label)
                 elif op == "rename" and label != k:
                     m.rename({label: k})
+                if memories is fast:
+                    partner_tops.moved(v, top, m.top)
 
 
 def test_listen_picks_clear_majority():
@@ -273,7 +281,7 @@ def test_evaluation_pass_grows_connected_nodes_only():
     g = build_graph(3, [(0, 1)])
     mems = init_memories(g)
     rng = random.Random(5)
-    evaluation_pass(g.adjacency, mems, {}, rng, "sweep")
+    evaluation_pass(g.adjacency, mems, PartnerTops({}, mems), rng, "sweep")
     assert mems[0].total == 2
     assert mems[1].total == 2
     assert mems[2].total == 1
@@ -285,8 +293,9 @@ def test_memory_totals_after_t_passes():
     mems = init_memories(g)
     rng = random.Random(6)
     t = 13
+    partner_tops = PartnerTops({}, mems)
     for _ in range(t):
-        evaluation_pass(g.adjacency, mems, {}, rng, "sweep")
+        evaluation_pass(g.adjacency, mems, partner_tops, rng, "sweep")
     assert all(m.total == 1 + t for m in mems)
 
 
