@@ -3,7 +3,9 @@
 Selection interleaves random pair queries with forbidden-triad closure: once
 two must-link pairs (a,b) and (a,c) exist, the unresolved pair (b,c) is an
 open triad that must itself be put to the oracle, because must-link is not
-transitive when communities overlap.
+transitive when communities overlap. The store keeps the set of open pairs
+current as constraints are added, so a closure round reads it rather than
+rescanning every must-link hub.
 """
 
 from __future__ import annotations
@@ -36,11 +38,17 @@ class ConstraintStore:
     Pairs are stored canonically (low id first). A pair can carry only one
     relation; inserting the opposite relation raises. Every insertion counts
     one oracle query against queries_used.
+
+    open_pairs holds every open triad's pair: (b,c) with a common must-link
+    partner and no stored relation. add keeps it current: storing a pair
+    removes it, and a must-link (a,b) opens (x,b) for each must-link partner
+    x of a not yet related to b, and (a,y) likewise for the partners of b.
     """
 
     def __init__(self) -> None:
         self.ml: set[tuple[int, int]] = set()
         self.cl: set[tuple[int, int]] = set()
+        self.open_pairs: set[tuple[int, int]] = set()
         self.queries_used = 0
         self._ml_partners: dict[int, set[int]] = {}
         self._cl_partners: dict[int, set[int]] = {}
@@ -53,9 +61,19 @@ class ConstraintStore:
         if pair in target:
             raise ValueError(f"pair {pair} already stored")
         target.add(pair)
+        self.open_pairs.discard(pair)
+        a, b = pair
         partners = self._ml_partners if relation is Relation.MUST_LINK else self._cl_partners
-        partners.setdefault(pair[0], set()).add(pair[1])
-        partners.setdefault(pair[1], set()).add(pair[0])
+        pa = partners.setdefault(a, set())
+        pb = partners.setdefault(b, set())
+        if relation is Relation.MUST_LINK:
+            # hub a now joins each of its partners x to b, hub b joins a to each y
+            cl = self._cl_partners
+            opened = [(x, b) if x < b else (b, x) for x in pa.difference(pb, cl.get(b, ()))]
+            opened += [(a, y) if a < y else (y, a) for y in pb.difference(pa, cl.get(a, ()))]
+            self.open_pairs.update(opened)
+        pa.add(b)
+        pb.add(a)
         self.queries_used += 1
 
     def add_must_link(self, u: int, v: int) -> None:
@@ -72,6 +90,10 @@ class ConstraintStore:
 
     def __len__(self) -> int:
         return len(self.ml) + len(self.cl)
+
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        """Whether the canonical pair carries a stored relation."""
+        return pair in self.ml or pair in self.cl
 
     def __repr__(self) -> str:
         return f"ConstraintStore(ml={len(self.ml)}, cl={len(self.cl)}, queries={self.queries_used})"
@@ -96,20 +118,19 @@ class GroundTruthOracle(Oracle):
     two nodes share at least one community."""
 
     def __init__(self, truth: Cover):
-        self._truth = truth
-        self._covered = frozenset(truth.nodes())
+        self._memberships = {v: frozenset(truth.memberships(v)) for v in truth.nodes()}
+        self._covered = frozenset(self._memberships)
 
     def answer(self, u: int, v: int) -> Relation:
         if u == v:
             raise ValueError("oracle queries require two distinct nodes")
-        mu = self._truth.memberships(u)
-        mv = self._truth.memberships(v)
-        if not mu:
+        mu = self._memberships.get(u)
+        mv = self._memberships.get(v)
+        if mu is None:
             raise ValueError(f"node {u} belongs to no ground-truth community")
-        if not mv:
+        if mv is None:
             raise ValueError(f"node {v} belongs to no ground-truth community")
-        common = set(mu) & set(mv)
-        return Relation.MUST_LINK if common else Relation.CANNOT_LINK
+        return Relation.CANNOT_LINK if mu.isdisjoint(mv) else Relation.MUST_LINK
 
     def covered_nodes(self) -> frozenset[int]:
         return self._covered
@@ -144,24 +165,17 @@ class Budget:
 
 def find_forbidden_triads(store: ConstraintStore) -> list[tuple[int, int]]:
     """All open pairs (b,c): some a is must-linked to both b and c, and (b,c)
-    carries no stored relation. Sorted canonical pairs, no duplicates."""
-    open_pairs: set[tuple[int, int]] = set()
-    for partners in store._ml_partners.values():
-        ps = sorted(partners)
-        for i, b in enumerate(ps):
-            for c in ps[i + 1:]:
-                pair = (b, c)
-                if pair not in store.ml and pair not in store.cl:
-                    open_pairs.add(pair)
-    return sorted(open_pairs)
+    carries no stored relation. Sorted canonical pairs, no duplicates. The
+    store keeps this set current as pairs are added; see ConstraintStore."""
+    return sorted(store.open_pairs)
 
 
 def _sample_unqueried_pairs(eligible: list[int], count: int,
-                            queried: set[tuple[int, int]], rng: random.Random) -> list[tuple[int, int]]:
-    """Up to count distinct eligible pairs not yet queried, drawn uniformly."""
+                            store: ConstraintStore, rng: random.Random) -> list[tuple[int, int]]:
+    """Up to count distinct eligible pairs not yet in the store, drawn uniformly."""
     n = len(eligible)
     total = n * (n - 1) // 2
-    remaining = total - len(queried)
+    remaining = total - len(store)
     count = min(count, remaining)
     if count <= 0:
         return []
@@ -169,7 +183,7 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
         # dense request: materialize the leftover pool
         pool = [(eligible[i], eligible[j])
                 for i in range(n) for j in range(i + 1, n)
-                if (eligible[i], eligible[j]) not in queried]
+                if (eligible[i], eligible[j]) not in store]
         return rng.sample(pool, count)
     picked: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -179,7 +193,7 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
         if i == j:
             continue
         pair = canonical_pair(eligible[i], eligible[j])
-        if pair in queried or pair in seen:
+        if pair in store or pair in seen:
             continue
         seen.add(pair)
         picked.append(pair)
@@ -209,32 +223,30 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
         return store
     total_pairs = len(eligible) * (len(eligible) - 1) // 2
     chunk = max(1, int(init_fraction * max_q))
-    queried: set[tuple[int, int]] = set()
 
-    def query(pair: tuple[int, int]) -> None:
-        store.add(pair[0], pair[1], oracle.answer(*pair))
-        queried.add(pair)
-
-    while store.queries_used < max_q and len(queried) < total_pairs:
-        for pair in _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), queried, rng):
-            query(pair)
+    while store.queries_used < max_q and len(store) < total_pairs:
+        for pair in _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), store, rng):
+            store.add(*pair, oracle.answer(*pair))
         while store.queries_used < max_q:
+            # pairs opened while a round is queried wait for the next round
             open_triads = find_forbidden_triads(store)
             if not open_triads:
                 break
             for pair in open_triads:
                 if store.queries_used >= max_q:
                     break
-                query(pair)
+                store.add(*pair, oracle.answer(*pair))
     return store
 
 
 def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
     """One "u v ML|CL" triple per line, sorted by canonical internal pair."""
-    rows = [(pair, "ML") for pair in store.ml] + [(pair, "CL") for pair in store.cl]
+    external = id_map.external
+    ml = store.ml
+    text = "".join(f"{external(u)} {external(v)} {'ML' if (u, v) in ml else 'CL'}\n"
+                   for u, v in sorted(ml | store.cl))
     with _open_sink(sink) as f:
-        for (u, v), tag in sorted(rows):
-            f.write(f"{id_map.external(u)} {id_map.external(v)} {tag}\n")
+        f.write(text)
 
 
 def load_constraints(source, id_map: IdMap) -> ConstraintStore:
