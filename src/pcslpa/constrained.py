@@ -11,7 +11,8 @@ label, `memory.top`, which its LabelMemory keeps current:
   per run after initialization, holds each constrained node's multiset of
   partners' tops, so the check is one lookup; the pass and every repair step
   that moves a constrained node's top (must-link transfers, cannot-link
-  deletions, label merges) update it, and must-link repair reads it too;
+  deletions, label merges) update it; must-link repair reads it too, and the
+  label merge finds its separations in it;
 * repair, after every `repair_every`-th pass and after the last: top labels
   that a must-link pair joins and no cannot-link pair separates merge into
   one; each must-link pair whose tops still differ is aligned one way; labels
@@ -100,7 +101,8 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     """Merge top labels that a must-link joins and no cannot-link separates.
 
     A must-link pair whose endpoints top on labels a and b links a and b; a
-    cannot-link pair topping on them separates them. Linked label pairs are
+    cannot-link pair topping on them separates them, which partner_tops
+    shows without a walk over the pairs. Linked label pairs are
     taken by descending count of linking must-links, then ascending labels,
     and each joins its two label groups unless a cannot-link separates the
     groups. Every memory then holds each group's occurrences under the
@@ -118,13 +120,18 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     if not links:
         return report
     # Only linked labels can join a group, so only their separations count.
+    # A cannot-link pair (u, v) topping on a and b enters b in u's multiset of
+    # partners' tops and a in v's, so each node's top against each distinct
+    # top in its multiset yields both directions of every separation.
     linked = {label for pair in links for label in pair}
     separated: dict[int, set[int]] = {}
-    for u, v in store.cl:
-        a, b = tops[u], tops[v]
-        if a != b and a in linked and b in linked:
-            separated.setdefault(a, set()).add(b)
-            separated.setdefault(b, set()).add(a)
+    for v, partners_tops in partner_tops.blocked.items():
+        a = tops[v]
+        if a in linked:
+            others = partners_tops.keys() & linked
+            others.discard(a)
+            if others:
+                separated.setdefault(a, set()).update(others)
     by_count: dict[int, list[tuple[int, int]]] = {}
     for pair, count in links.items():
         by_count.setdefault(count, []).append(pair)
@@ -174,10 +181,11 @@ def _transfer(memories: list[LabelMemory], receiver: int, label: int,
     partner_tops.moved(receiver, top, memory.top)
 
 
-def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
+def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
                      report: RepairReport, gained: set[int],
                      partner_tops: PartnerTops) -> RepairReport:
-    """Align each must-link pair on a shared top label, one way.
+    """Align each must-link pair of ml_pairs, in order, on a shared top label,
+    one way.
 
     For a pair whose top labels differ, the node whose top holds the smaller
     share of its memory (the lower id on a tie) receives the partner's top
@@ -188,7 +196,7 @@ def repair_must_link(memories: list[LabelMemory], store: ConstraintStore,
     current.
 
     gained: collects the nodes that receive a label they did not hold."""
-    for u, v in sorted(store.ml):
+    for u, v in ml_pairs:
         mu, mv = memories[u], memories[v]
         top_u, top_v = mu.top, mv.top
         if top_u == top_v:
@@ -313,7 +321,7 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     memories = init_constrained(g, store)
     partner_tops = PartnerTops(store._cl_partners, memories)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
-    cl_pairs = sorted(store.cl)
+    ml_pairs, cl_pairs = sorted(store.ml), sorted(store.cl)
     report = RepairReport()
     # label-set size of each node after the previous repair; 0 before the
     # first, which no memory has, so the first repair counts every node
@@ -326,7 +334,7 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         # once an endpoint gains one: the width test, merges and transfers.
         gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
         merge_linked_labels(memories, store, report, gained, partner_tops)
-        repair_must_link(memories, store, report, gained, partner_tops)
+        repair_must_link(memories, ml_pairs, report, gained, partner_tops)
         pairs = cl_pairs if final else [pair for pair in cl_pairs
                                         if pair[0] in gained or pair[1] in gained]
         repair_cannot_link(memories, partner_tops, rng, report, pairs, speakers)

@@ -10,14 +10,18 @@ keeps its top label, the most frequent one (the lowest id on a tie), as
 (pcslpa.constrained), which supplies its own speaker lists and cannot-link
 partners, and whose listeners reject the top labels of those partners.
 
-A speaker draws x uniformly below its memory's total, by the rejection loop
-that CPython's `Random.randrange(total)` runs (getrandbits of
-total.bit_length() bits until one falls below total), and speaks the label
-whose span of the running counts, in the memory's insertion order, holds x.
-The memory keeps those running counts, with the total and its bit length, in
-a draw entry, built when first needed after add, remove or rename dropped
-it, so a draw costs a bisection, O(log width), and consumes the same random
-stream as `randrange`.
+A speaker's draw reads its memory's draw tape: each label `count` times in
+insertion order, padded with None to 2**k entries, k = total.bit_length().
+The speaker reads the entry at getrandbits(k) until it is a label, which is
+the rejection loop that CPython's `Random.randrange(total)` runs, so a draw
+costs O(1) expected reads, consumes the same random stream as `randrange`,
+and speaks the label whose span of the running counts holds the draw. `add`
+keeps a built tape current in place; `remove` and `rename` drop it, and the
+next draw rebuilds it.
+
+The listener counts the labels as it hears them, skipping those blocked by
+cannot-link partners, and draws among the labels tied for most popular, in
+first-heard order, only when there is more than one.
 
 A PartnerTops index keeps, for each node with cannot-link partners, the
 multiset of its partners' current tops. It is updated wherever a constrained
@@ -29,9 +33,7 @@ index.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .graph import Cover, Graph
 
@@ -44,39 +46,50 @@ class LabelMemory:
 
     total tracks the sum of the counts and top the label with the maximal
     count, the lowest label id on a tie; add, remove and rename keep both
-    current. draw is the draw entry, (labels, running counts, total,
-    total.bit_length()) in insertion order, or None until draw_table()
-    builds it; add, remove and rename, the only code that changes counts,
-    drop it.
+    current. tape is the draw tape, or None until draw_tape() builds it: each
+    label `count` times in insertion order, padded with None to 2**k entries,
+    k = total.bit_length(), so tape[x] is None exactly when x >= total. add
+    keeps a built tape current in place; remove and rename drop it.
     """
 
-    __slots__ = ("counts", "total", "top", "draw")
+    __slots__ = ("counts", "total", "top", "tape")
 
     def __init__(self, label: int):
         self.counts: dict[int, int] = {label: 1}
         self.total = 1
         self.top = label
-        self.draw: tuple[list[int], list[int], int, int] | None = None
+        self.tape: list[int | None] | None = None
 
-    @property
-    def table(self) -> tuple[list[int], list[int]] | None:
-        """The draw table, (labels, running counts), or None until built."""
-        draw = self.draw
-        return None if draw is None else draw[:2]
-
-    def draw_table(self) -> tuple[list[int], list[int]]:
-        """Build and keep the draw entry and return its table: the labels in
-        insertion order and their running counts, so label i holds the draws
-        x with cumulative[i-1] <= x < cumulative[i]."""
-        counts, total = self.counts, self.total
-        labels, cumulative = list(counts), list(accumulate(counts.values()))
-        self.draw = (labels, cumulative, total, total.bit_length())
-        return labels, cumulative
+    def draw_tape(self) -> list[int | None]:
+        """Build and keep the draw tape and return it."""
+        tape: list[int | None] = []
+        for label, count in self.counts.items():
+            tape += [label] * count
+        total = self.total
+        tape += [None] * ((1 << total.bit_length()) - total)
+        self.tape = tape
+        return tape
 
     def add(self, label: int, k: int = 1) -> None:
-        self.counts[label] = self.counts.get(label, 0) + k
-        self.total += k
-        self.draw = None
+        """Add k occurrences of label; k = 0 changes nothing."""
+        if k <= 0:
+            if k < 0:
+                raise ValueError("cannot add a negative count")
+            return
+        counts = self.counts
+        count = counts.get(label, 0)
+        counts[label] = count + k
+        total = self.total
+        tape = self.tape
+        if tape is not None:
+            # the label's run ends at its first entry plus its count; a new
+            # label's run starts where the padding did
+            at = tape.index(label) + count if count else total
+            tape[at:at] = [label] * k
+            size = 1 << (total + k).bit_length()
+            del tape[size:]
+            tape += [None] * (size - len(tape))
+        self.total = total + k
         self._contest(label)
 
     def remove(self, label: int) -> None:
@@ -84,7 +97,7 @@ class LabelMemory:
         if len(self.counts) == 1:
             raise ValueError("cannot remove the last label of a memory")
         self.total -= self.counts.pop(label)
-        self.draw = None
+        self.tape = None
         if label == self.top:
             self._elect()
 
@@ -98,7 +111,7 @@ class LabelMemory:
         for label in moved:
             target = targets[label]
             counts[target] = counts.get(target, 0) + counts.pop(label)
-        self.draw = None
+        self.tape = None
         self._elect()
         return True
 
@@ -190,20 +203,6 @@ def init_memories(g: Graph) -> list[LabelMemory]:
     return [LabelMemory(v) for v in range(g.n)]
 
 
-def listen(received: list[int], rng: random.Random) -> int:
-    """Most popular label among received; ties broken uniformly at random."""
-    if not received:
-        raise ValueError("listen requires at least one received label")
-    counts: dict[int, int] = {}
-    for label in received:
-        counts[label] = counts.get(label, 0) + 1
-    best = max(counts.values())
-    top = [label for label, c in counts.items() if c == best]
-    if len(top) == 1:
-        return top[0]
-    return top[rng.randrange(len(top))]
-
-
 def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
     if schedule == SCHEDULE_SWEEP:
         order = list(range(n))
@@ -217,43 +216,50 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
                     schedule: str) -> None:
     """One pass over the listeners chosen by `schedule`.
 
-    Each listener v collects one spoken label from every node in speakers[v],
+    Each listener v hears one spoken label from every node in speakers[v],
     drops each label that is the current top (LabelMemory.top) of one of its
     cannot-link partners (one lookup in partner_tops), and adds the most
     popular remaining label to its memory, reporting a move of its top to
-    partner_tops. A listener with no speakers, or whose labels are all
-    dropped, is unchanged. With adjacency lists as speakers and an empty
-    index this is the unsupervised pass.
+    partner_tops. Labels tied for most popular are ranked in first-heard
+    order and one is drawn uniformly. A listener with no speakers, or whose
+    labels are all dropped, is unchanged. With adjacency lists as speakers
+    and an empty index this is the unsupervised pass.
 
     Each speaker's draw is inlined: `rng.randrange(total)` by its own
-    rejection loop over getrandbits, then a bisection of the draw table.
+    rejection loop, which reads the draw tape at getrandbits(k) until the
+    entry is a label. The listener counts labels as it hears them and checks
+    a label against partner_tops only when it first hears it.
     """
-    getrandbits = rng.getrandbits
+    getrandbits, randrange = rng.getrandbits, rng.randrange
     blocked = partner_tops.blocked
+    unblocked: dict[int, int] = {}
     for v in listener_order(len(speakers), schedule, rng):
         node_speakers = speakers[v]
         if not node_speakers:
             continue
-        received = []
+        node_blocked = blocked.get(v, unblocked)
+        heard: dict[int, int] = {}
         for u in node_speakers:
             memory = memories[u]
-            draw = memory.draw
-            if draw is None:
-                memory.draw_table()
-                draw = memory.draw
-            labels, cumulative, total, k = draw
-            x = getrandbits(k)
-            while x >= total:
-                x = getrandbits(k)
-            received.append(labels[bisect_right(cumulative, x)])
-        node_blocked = blocked.get(v)
-        if node_blocked:
-            received = [label for label in received if label not in node_blocked]
-            if not received:
-                continue
+            tape = memory.tape
+            if tape is None:
+                tape = memory.draw_tape()
+            k = memory.total.bit_length()
+            label = tape[getrandbits(k)]
+            while label is None:
+                label = tape[getrandbits(k)]
+            if label in heard:
+                heard[label] += 1
+            elif label not in node_blocked:
+                heard[label] = 1
+        if not heard:
+            continue
+        best = max(heard.values())
+        winners = [label for label, count in heard.items() if count == best]
+        label = winners[0] if len(winners) == 1 else winners[randrange(len(winners))]
         memory = memories[v]
         top = memory.top
-        memory.add(listen(received, rng))
+        memory.add(label)
         if node_blocked and memory.top != top:
             partner_tops.moved(v, top, memory.top)
 

@@ -73,7 +73,8 @@ def constrained_pass(g, store, mems, rng) -> None:
 
 
 def ml_repair(mems, store) -> RepairReport:
-    return repair_must_link(mems, store, RepairReport(), set(), partner_tops(mems, store))
+    return repair_must_link(mems, sorted(store.ml), RepairReport(), set(),
+                            partner_tops(mems, store))
 
 
 def cl_repair(mems, store, rng, pairs, speakers) -> RepairReport:
@@ -196,7 +197,7 @@ def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
     merge_linked_labels(mems, store, report, gained, index)
     assert report.label_merges > 0
     assert tops_are_argmax()
-    repair_must_link(mems, store, report, gained, index)
+    repair_must_link(mems, sorted(store.ml), report, gained, index)
     assert tops_are_argmax()
     repair_cannot_link(mems, index, rng, report, sorted(store.cl), speakers)
     assert report.cl_deletions > 0
@@ -229,11 +230,11 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed, sch
             assert index.blocked == recount_partner_tops(mems, store)
         report, gained = RepairReport(), set()
         # also before a merge, which otherwise aligns most must-link tops
-        repair_must_link(mems, store, report, gained, index)
+        repair_must_link(mems, sorted(store.ml), report, gained, index)
         assert index.blocked == recount_partner_tops(mems, store)
         merge_linked_labels(mems, store, report, gained, index)
         assert index.blocked == recount_partner_tops(mems, store)
-        repair_must_link(mems, store, report, gained, index)
+        repair_must_link(mems, sorted(store.ml), report, gained, index)
         assert index.blocked == recount_partner_tops(mems, store)
         repair_cannot_link(mems, index, rng, report, sorted(store.cl), speakers)
         assert index.blocked == recount_partner_tops(mems, store)

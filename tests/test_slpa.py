@@ -8,7 +8,6 @@ they are stable under any correct implementation.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,6 @@ from pcslpa.slpa import (
     SlpaParams,
     evaluation_pass,
     init_memories,
-    listen,
     listener_order,
     post_process,
     run_slpa,
@@ -60,6 +58,19 @@ def speak(memory: LabelMemory, rng: random.Random) -> int:
         if x < 0:
             return label
     raise AssertionError("memory total inconsistent with counts")
+
+
+def listen(received: list[int], rng: random.Random) -> int:
+    """Reference listener: the most popular label among received, ties broken
+    uniformly at random among the tied labels in first-received order."""
+    counts: dict[int, int] = {}
+    for label in received:
+        counts[label] = counts.get(label, 0) + 1
+    best = max(counts.values())
+    top = [label for label, c in counts.items() if c == best]
+    if len(top) == 1:
+        return top[0]
+    return top[rng.randrange(len(top))]
 
 
 def reference_pass(speakers, memories, cl_partners, rng, schedule) -> None:
@@ -124,19 +135,65 @@ def test_memory_rename_moves_counts_and_reelects_the_top():
     assert m.top == 1
 
 
+def expanded(memory: LabelMemory) -> list[int | None]:
+    """The draw tape by definition: each label `count` times in insertion
+    order, padded with None to the next power of two above the total."""
+    tape = [label for label, count in memory.counts.items() for _ in range(count)]
+    return tape + [None] * (2 ** memory.total.bit_length() - memory.total)
+
+
+def test_memory_add_of_zero_changes_nothing_and_negative_raises():
+    m = LabelMemory(0)
+    m.add(5, 0)
+    assert m.counts == {0: 1}
+    assert m.total == 1
+    tape = m.draw_tape()
+    m.add(0, 0)
+    assert m.tape is tape and tape == [0, None]
+    with pytest.raises(ValueError):
+        m.add(2, -2)
+    with pytest.raises(ValueError):
+        m.add(0, -1)
+    assert m.counts == {0: 1}
+    assert m.total == 1
+    assert m.tape == [0, None]
+
+
+def test_memory_add_keeps_a_built_tape_current():
+    m = mem({4: 2, 9: 1})
+    assert m.draw_tape() == [4, 4, 9, None]
+    m.add(4)
+    assert m.tape == [4, 4, 4, 9, None, None, None, None]
+    m.add(7)
+    assert m.tape == [4, 4, 4, 9, 7, None, None, None]
+    m.add(9, 2)
+    assert m.tape == [4, 4, 4, 9, 9, 9, 7, None]
+    m.add(4, 0)
+    assert m.tape == [4, 4, 4, 9, 9, 9, 7, None]
+    m.add(7, 12)
+    assert m.tape == [4, 4, 4, 9, 9, 9] + [7] * 13 + [None] * 13
+    m.remove(9)
+    assert m.tape is None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6),
-       st.lists(st.one_of(
-           st.tuples(st.just("add"), st.integers(0, 6), st.integers(1, 4)),
-           st.tuples(st.just("remove"), st.integers(0, 6)),
-           st.tuples(st.just("rename"), st.dictionaries(st.integers(0, 6), st.integers(0, 6),
-                                                        max_size=3))),
+       st.lists(st.tuples(
+           st.booleans(),
+           st.one_of(
+               st.tuples(st.just("add"), st.integers(0, 6), st.integers(0, 9)),
+               st.tuples(st.just("remove"), st.integers(0, 6)),
+               st.tuples(st.just("rename"), st.dictionaries(st.integers(0, 6), st.integers(0, 6),
+                                                            max_size=3)))),
            max_size=30))
 def test_memory_top_and_total_track_every_operation(first, operations):
     m = LabelMemory(first)
-    for operation in operations:
-        # a table built before the operation must not outlive it
-        m.draw_table()
+    for build, operation in operations:
+        # a tape built before the operation must be kept current or dropped;
+        # adds of up to 9 cross powers of two, and adds of 0 hit existing
+        # labels as well as new ones
+        if build:
+            m.draw_tape()
         if operation[0] == "add":
             m.add(operation[1], operation[2])
         elif operation[0] == "remove":
@@ -150,19 +207,31 @@ def test_memory_top_and_total_track_every_operation(first, operations):
             m.rename(targets)
         assert m.top == argmax(m.counts)
         assert m.total == sum(m.counts.values())
-        fresh = (list(m.counts), list(accumulate(m.counts.values())))
-        assert m.table in (None, fresh)
-        assert m.draw_table() == fresh
-        assert m.table == fresh
+        assert all(count > 0 for count in m.counts.values())
+        fresh = expanded(m)
+        if build and operation[0] == "add":
+            assert m.tape == fresh
+        assert m.tape in (None, fresh)
+        assert m.draw_tape() == fresh
+        assert m.tape == fresh
 
 
-def listen_to(memory: LabelMemory, passes: int, seed: int) -> dict[int, int]:
-    """Labels that a lone listener (label -1) hears from `memory` over the
-    given number of passes, with their counts."""
-    memories = [LabelMemory(-1), memory]
+def listen_to(speakers: list[LabelMemory], passes: int, seed: int,
+              blocked: LabelMemory | None = None) -> dict[int, int]:
+    """Labels that a lone listener (label -1) adds over the given number of
+    passes, each pass hearing one label from every speaker, with their
+    counts. A blocked memory is the listener's one cannot-link partner."""
+    memories = [LabelMemory(-1), *speakers]
+    lists = [list(range(1, len(memories)))] + [[] for _ in speakers]
+    partners: dict[int, set[int]] = {}
+    if blocked is not None:
+        partners = {0: {len(memories)}, len(memories): {0}}
+        memories.append(blocked)
+        lists.append([])
     rng = random.Random(seed)
+    index = PartnerTops(partners, memories)
     for _ in range(passes):
-        evaluation_pass([[1], []], memories, PartnerTops({}, memories), rng, "sweep")
+        evaluation_pass(lists, memories, index, rng, "sweep")
     heard = dict(memories[0].counts)
     heard[-1] -= 1
     return {label: count for label, count in heard.items() if count}
@@ -170,13 +239,13 @@ def listen_to(memory: LabelMemory, passes: int, seed: int) -> dict[int, int]:
 
 def test_speak_is_proportional_to_counts():
     draws = 10_000
-    heard = listen_to(mem({5: 3, 9: 1}), draws, seed=11)
+    heard = listen_to([mem({5: 3, 9: 1})], draws, seed=11)
     assert sum(heard.values()) == draws
     assert heard[5] / draws == pytest.approx(0.75, abs=0.02)
 
 
 def test_speak_single_label():
-    assert listen_to(LabelMemory(7), 50, seed=0) == {7: 50}
+    assert listen_to([LabelMemory(7)], 50, seed=0) == {7: 50}
 
 
 def test_draw_is_randrange_of_the_total():
@@ -242,23 +311,25 @@ def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
 
 
 def test_listen_picks_clear_majority():
-    rng = random.Random(1)
-    assert all(listen([7, 7, 8], rng) == 7 for _ in range(50))
+    speakers = [LabelMemory(7), LabelMemory(7), LabelMemory(8)]
+    assert listen_to(speakers, 50, seed=1) == {7: 50}
 
 
 def test_listen_breaks_ties_uniformly():
-    rng = random.Random(2)
     draws = 10_000
-    hits = sum(1 for _ in range(draws) if listen([7, 8], rng) == 7)
-    assert hits / draws == pytest.approx(0.5, abs=0.02)
+    heard = listen_to([LabelMemory(7), LabelMemory(8)], draws, seed=2)
+    assert sum(heard.values()) == draws
+    assert heard[7] / draws == pytest.approx(0.5, abs=0.02)
 
 
 def test_listen_never_returns_minority_label():
-    rng = random.Random(3)
-    for _ in range(200):
-        assert listen([1, 2, 2, 3, 3], rng) in (2, 3)
-    with pytest.raises(ValueError):
-        listen([], rng)
+    speakers = [LabelMemory(label) for label in (1, 2, 2, 3, 3)]
+    heard = listen_to(speakers, 200, seed=3)
+    assert sum(heard.values()) == 200
+    assert set(heard) <= {2, 3}
+    # a listener whose every label is its partner's top adds nothing
+    assert listen_to([LabelMemory(7), LabelMemory(7)], 20, seed=3,
+                     blocked=LabelMemory(7)) == {}
 
 
 def test_listener_order_schedules():
