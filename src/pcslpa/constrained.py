@@ -335,8 +335,12 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
         merge_linked_labels(memories, store, report, gained, partner_tops)
         repair_must_link(memories, ml_pairs, report, gained, partner_tops)
-        pairs = cl_pairs if final else [pair for pair in cl_pairs
-                                        if pair[0] in gained or pair[1] in gained]
+        if final or len(gained) == g.n:
+            pairs = cl_pairs
+        else:
+            # the pairs touching gained, read from the partner index
+            pairs = sorted({(v, p) if v < p else (p, v)
+                            for v in gained for p in store.cl_partners(v)})
         repair_cannot_link(memories, partner_tops, rng, report, pairs, speakers)
         widths = [len(memory.counts) for memory in memories]
 

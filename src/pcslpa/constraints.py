@@ -6,6 +6,12 @@ open triad that must itself be put to the oracle, because must-link is not
 transitive when communities overlap. The store keeps the set of open pairs
 current as constraints are added, so a closure round reads it rather than
 rescanning every must-link hub.
+
+Each round, random or closure, is stored through the store's one insertion
+path, `ConstraintStore.add_pairs`, in one call that asks the oracle about
+each pair just before storing it. The random sampler draws its indices by
+the rejection loop that CPython's `Random.randrange` runs, so it consumes
+the same random stream and picks the same pairs as `randrange` would.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from __future__ import annotations
 import enum
 import logging
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 from .graph import Cover, Graph, IdMap, ParseError, _iter_lines, _open_sink
 
@@ -39,10 +47,12 @@ class ConstraintStore:
     relation; inserting the opposite relation raises. Every insertion counts
     one oracle query against queries_used.
 
-    open_pairs holds every open triad's pair: (b,c) with a common must-link
-    partner and no stored relation. add keeps it current: storing a pair
-    removes it, and a must-link (a,b) opens (x,b) for each must-link partner
-    x of a not yet related to b, and (a,y) likewise for the partners of b.
+    add_pairs is the one insertion path: it stores a round of pairs in one
+    loop, and add(u, v, relation) is its one-pair call. open_pairs holds
+    every open triad's pair: (b,c) with a common must-link partner and no
+    stored relation. add_pairs keeps it current: storing a pair removes it,
+    and a must-link (a,b) opens (x,b) for each must-link partner x of a not
+    yet related to b, and (a,y) likewise for the partners of b.
     """
 
     def __init__(self) -> None:
@@ -54,27 +64,49 @@ class ConstraintStore:
         self._cl_partners: dict[int, set[int]] = {}
 
     def add(self, u: int, v: int, relation: Relation) -> None:
-        pair = canonical_pair(u, v)
-        target, opposite = (self.ml, self.cl) if relation is Relation.MUST_LINK else (self.cl, self.ml)
-        if pair in opposite:
-            raise ValueError(f"pair {pair} already holds the opposite relation")
-        if pair in target:
-            raise ValueError(f"pair {pair} already stored")
-        target.add(pair)
-        self.open_pairs.discard(pair)
-        a, b = pair
-        partners = self._ml_partners if relation is Relation.MUST_LINK else self._cl_partners
-        pa = partners.setdefault(a, set())
-        pb = partners.setdefault(b, set())
-        if relation is Relation.MUST_LINK:
-            # hub a now joins each of its partners x to b, hub b joins a to each y
-            cl = self._cl_partners
-            opened = [(x, b) if x < b else (b, x) for x in pa.difference(pb, cl.get(b, ()))]
-            opened += [(a, y) if a < y else (y, a) for y in pb.difference(pa, cl.get(a, ()))]
-            self.open_pairs.update(opened)
-        pa.add(b)
-        pb.add(a)
-        self.queries_used += 1
+        self.add_pairs([canonical_pair(u, v)], [relation])
+
+    def add_pairs(self, pairs: Iterable[tuple[int, int]], relations: Iterable[Relation]) -> None:
+        """Store each canonical pair (low id first) with its relation, in order.
+
+        A pair that is not canonical, already stored, or stored with the
+        opposite relation raises ValueError; the pairs before it stay stored
+        and counted."""
+        ml, cl, open_pairs = self.ml, self.cl, self.open_pairs
+        ml_partners, cl_partners = self._ml_partners, self._cl_partners
+        must_link = Relation.MUST_LINK
+        stored = len(ml) + len(cl)
+        try:
+            for pair, relation in zip(pairs, relations):
+                a, b = pair
+                if a >= b:
+                    raise ValueError(f"pair {pair} is not canonical")
+                if relation is must_link:
+                    target, opposite, partners = ml, cl, ml_partners
+                else:
+                    target, opposite, partners = cl, ml, cl_partners
+                if pair in opposite:
+                    raise ValueError(f"pair {pair} already holds the opposite relation")
+                if pair in target:
+                    raise ValueError(f"pair {pair} already stored")
+                target.add(pair)
+                open_pairs.discard(pair)
+                pa = partners.get(a)
+                if pa is None:
+                    pa = partners[a] = set()
+                pb = partners.get(b)
+                if pb is None:
+                    pb = partners[b] = set()
+                if relation is must_link:
+                    # hub a now joins each of its partners x to b, hub b joins a to each y
+                    for x in pa.difference(pb, cl_partners.get(b, ())):
+                        open_pairs.add((x, b) if x < b else (b, x))
+                    for y in pb.difference(pa, cl_partners.get(a, ())):
+                        open_pairs.add((a, y) if a < y else (y, a))
+                pa.add(b)
+                pb.add(a)
+        finally:
+            self.queries_used += len(ml) + len(cl) - stored
 
     def add_must_link(self, u: int, v: int) -> None:
         self.add(u, v, Relation.MUST_LINK)
@@ -185,15 +217,24 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
                 for i in range(n) for j in range(i + 1, n)
                 if (eligible[i], eligible[j]) not in store]
         return rng.sample(pool, count)
+    # each index is rng.randrange(n) by its own rejection loop, the one
+    # CPython runs: the same words, so the same pairs
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    ml, cl = store.ml, store.cl
     picked: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     while len(picked) < count:
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
         if i == j:
             continue
-        pair = canonical_pair(eligible[i], eligible[j])
-        if pair in store or pair in seen:
+        u, v = eligible[i], eligible[j]
+        pair = (u, v) if u < v else (v, u)
+        if pair in ml or pair in cl or pair in seen:
             continue
         seen.add(pair)
         picked.append(pair)
@@ -209,7 +250,9 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
     (1) query up to floor(init_fraction * max_queries) fresh random pairs
     among oracle-covered nodes; (2) repeatedly query all open forbidden
     triads until closure. Every oracle call, closure included, costs budget.
-    No pair is ever queried twice.
+    No pair is ever queried twice. Each round, a closure round cut to the
+    remaining budget included, goes to one add_pairs call, which takes the
+    oracle's answers lazily, one per pair, in order.
     """
     if not 0.0 < init_fraction <= 1.0:
         raise ValueError("init_fraction must lie in (0, 1]")
@@ -225,26 +268,24 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
     chunk = max(1, int(init_fraction * max_q))
 
     while store.queries_used < max_q and len(store) < total_pairs:
-        for pair in _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), store, rng):
-            store.add(*pair, oracle.answer(*pair))
+        pairs = _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), store, rng)
+        store.add_pairs(pairs, starmap(oracle.answer, pairs))
         while store.queries_used < max_q:
             # pairs opened while a round is queried wait for the next round
-            open_triads = find_forbidden_triads(store)
-            if not open_triads:
+            pairs = find_forbidden_triads(store)
+            if not pairs:
                 break
-            for pair in open_triads:
-                if store.queries_used >= max_q:
-                    break
-                store.add(*pair, oracle.answer(*pair))
+            del pairs[max_q - store.queries_used:]
+            store.add_pairs(pairs, starmap(oracle.answer, pairs))
     return store
 
 
 def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
     """One "u v ML|CL" triple per line, sorted by canonical internal pair."""
-    external = id_map.external
+    tokens = [id_map.external(v) for v in range(len(id_map))]
     ml = store.ml
-    text = "".join(f"{external(u)} {external(v)} {'ML' if (u, v) in ml else 'CL'}\n"
-                   for u, v in sorted(ml | store.cl))
+    text = "".join([f"{tokens[u]} {tokens[v]} {'ML' if (u, v) in ml else 'CL'}\n"
+                    for u, v in sorted(ml | store.cl)])
     with _open_sink(sink) as f:
         f.write(text)
 

@@ -66,11 +66,39 @@ def reference_forbidden_triads(store: ConstraintStore) -> list[tuple[int, int]]:
     return sorted(open_pairs)
 
 
+def reference_sample_unqueried_pairs(eligible, count, queried, rng) -> list[tuple[int, int]]:
+    """The sampler by rng.randrange, whose random stream _sample_unqueried_pairs
+    reproduces. It needs only `in` and `len` of queried."""
+    n = len(eligible)
+    total = n * (n - 1) // 2
+    remaining = total - len(queried)
+    count = min(count, remaining)
+    if count <= 0:
+        return []
+    if count * 2 >= remaining:
+        pool = [(eligible[i], eligible[j])
+                for i in range(n) for j in range(i + 1, n)
+                if (eligible[i], eligible[j]) not in queried]
+        return rng.sample(pool, count)
+    picked: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    while len(picked) < count:
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        pair = canonical_pair(eligible[i], eligible[j])
+        if pair in queried or pair in seen:
+            continue
+        seen.add(pair)
+        picked.append(pair)
+    return picked
+
+
 def reference_select(g, oracle, budget, init_fraction, rng) -> ConstraintStore:
-    """The selection loop with its own ledger of asked pairs, closing triads
-    found by the full scan: a snapshot per round, as select_constraints does.
-    The sampler needs only `in` and `len`, so the ledger stands in for the
-    store there."""
+    """The selection loop with its own ledger of asked pairs, sampling with
+    the randrange sampler, querying one pair at a time and closing triads
+    found by the full scan: a snapshot per round, as select_constraints does."""
     store = ConstraintStore()
     covered = oracle.covered_nodes()
     eligible = sorted(v for v in covered if 0 <= v < g.n)
@@ -86,7 +114,8 @@ def reference_select(g, oracle, budget, init_fraction, rng) -> ConstraintStore:
         queried.add(pair)
 
     while store.queries_used < max_q and len(queried) < total_pairs:
-        for pair in _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), queried, rng):
+        for pair in reference_sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used),
+                                                     queried, rng):
             query(pair)
         while store.queries_used < max_q:
             open_triads = reference_forbidden_triads(store)
@@ -127,6 +156,9 @@ def test_store_rejects_duplicates_and_conflicts():
         s.add_must_link(1, 0)
     with pytest.raises(ValueError):
         s.add_cannot_link(0, 1)
+    with pytest.raises(ValueError, match="not canonical"):
+        s.add_pairs([(3, 2)], [Relation.MUST_LINK])
+    assert s.queries_used == 1 and s.ml_partners(3) == set()
 
 
 def test_ground_truth_oracle_answers():
@@ -209,6 +241,65 @@ def test_open_pairs_match_a_full_scan_after_every_add(data):
         s.add(u, v, data.draw(st.sampled_from(Relation)))
         assert find_forbidden_triads(s) == reference_forbidden_triads(s)
         assert [p in s for p in pairs] == [p in s.ml or p in s.cl for p in pairs]
+
+
+def store_state(s: ConstraintStore):
+    """Everything a store holds, with the partner dicts' key order and each
+    partner set's iteration order, which PartnerTops follows."""
+    return (s.ml, s.cl, s.open_pairs, s.queries_used,
+            [(v, list(ps)) for v, ps in s._ml_partners.items()],
+            [(v, list(ps)) for v, ps in s._cl_partners.items()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_insertion_equals_one_add_per_pair(data):
+    # rounds of fresh pairs in random order, each round possibly ending on a
+    # pair stored earlier with the same or the opposite relation
+    n = data.draw(st.integers(2, 8))
+    fresh = data.draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    batched, single = ConstraintStore(), ConstraintStore()
+    while fresh:
+        size = data.draw(st.integers(1, len(fresh)))
+        pairs, fresh = fresh[:size], fresh[size:]
+        relations = [data.draw(st.sampled_from(Relation)) for _ in pairs]
+        stored = sorted(single.ml | single.cl) + pairs[:-1]
+        if stored and data.draw(st.booleans()):
+            pairs = pairs + [data.draw(st.sampled_from(stored))]
+            relations = relations + [data.draw(st.sampled_from(Relation))]
+        errors = []
+        try:
+            batched.add_pairs(pairs, relations)
+        except ValueError as e:
+            errors.append(str(e))
+        for (u, v), relation in zip(pairs, relations):
+            try:
+                single.add(*((v, u) if data.draw(st.booleans()) else (u, v)), relation)
+            except ValueError as e:
+                errors.append(str(e))
+                break
+        assert len(errors) in (0, 2) and errors[:1] == errors[1:]
+        assert store_state(batched) == store_state(single)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 65])
+@pytest.mark.parametrize("stored_frac, count_frac", [(0.0, 0.02), (0.3, 0.1), (0.0, 0.6), (0.4, 1.0)])
+def test_sampler_draws_the_reference_pairs_from_the_same_stream(n, stored_frac, count_frac):
+    # n = 2, powers of two and one above: the rejection loop's edge cases;
+    # count_frac 0.6 and 1.0 take the dense branch
+    eligible = [3 * v + 1 for v in range(n)]
+    pairs = list(itertools.combinations(eligible, 2))
+    setup = random.Random(n)
+    store = ConstraintStore()
+    for pair in setup.sample(pairs, int(stored_frac * len(pairs))):
+        store.add(*pair, setup.choice(list(Relation)))
+    count = max(1, int(count_frac * len(pairs)))
+    for seed in range(3):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = _sample_unqueried_pairs(eligible, count, store, got_rng)
+        want = reference_sample_unqueried_pairs(eligible, count, store.ml | store.cl, want_rng)
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def _fixture():
