@@ -31,9 +31,11 @@ class ParseError(ValueError):
 class IdMap:
     """Bijection between external node tokens and dense internal indices."""
 
-    def __init__(self) -> None:
-        self._to_internal: dict[str, int] = {}
-        self._to_external: list[str] = []
+    def __init__(self, index: dict[str, int] | None = None) -> None:
+        """An empty map, or the map of index, whose ids must be 0..n-1 in
+        insertion order (as `index.setdefault(token, len(index))` makes)."""
+        self._to_internal: dict[str, int] = {} if index is None else index
+        self._to_external: list[str] = list(self._to_internal)
 
     def intern(self, token: str) -> int:
         """Return the internal id for token, assigning the next index if new."""
@@ -62,10 +64,7 @@ class IdMap:
     @classmethod
     def identity(cls, n: int) -> "IdMap":
         """Id map whose external tokens are the decimal indices themselves."""
-        m = cls()
-        for i in range(n):
-            m.intern(str(i))
-        return m
+        return cls({str(i): i for i in range(n)})
 
 
 @dataclass(frozen=True)
@@ -108,17 +107,23 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], ids: IdMap | None = No
         if u == v:
             continue
         seen.add((u, v) if u < v else (v, u))
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for a in adjacency:
-        a.sort()
     if ids is None:
         ids = IdMap.identity(n)
     elif len(ids) != n:
         raise ValueError(f"id map covers {len(ids)} tokens, graph has {n} nodes")
-    return Graph(n=n, adjacency=adjacency, m=len(seen), ids=ids)
+    return _graph_of_pairs(n, seen, ids)
+
+
+def _graph_of_pairs(n: int, pairs: set[tuple[int, int]], ids: IdMap) -> Graph:
+    """The Graph of distinct in-range pairs (u, v), u < v, with sorted
+    adjacency lists."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for a in adjacency:
+        a.sort()
+    return Graph(n=n, adjacency=adjacency, m=len(pairs), ids=ids)
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -146,35 +151,38 @@ def load_edge_list(source) -> Graph:
     lines ('#') and blank lines are skipped. Self-loops and duplicate edges are
     dropped and their counts logged. Node ids are remapped densely in
     first-appearance order.
+
+    Each token is interned with one dict operation and each edge stored once
+    in the loader's pair set, from which the adjacency is built directly.
     """
-    ids = IdMap()
+    index: dict[str, int] = {}
+    intern = index.setdefault
     pairs: set[tuple[int, int]] = set()
+    add = pairs.add
+    edges = 0
     self_loops = 0
-    duplicates = 0
-    saw_data = False
     for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
-            raise ParseError(f"expected 2 node tokens, got {len(tokens)}: {line!r}", line_no)
-        saw_data = True
-        u = ids.intern(tokens[0])
-        v = ids.intern(tokens[1])
-        if u == v:
-            self_loops += 1
-            continue
-        p = (u, v) if u < v else (v, u)
-        if p in pairs:
-            duplicates += 1
+            raise ParseError(f"expected 2 node tokens, got {len(tokens)}: {raw.strip()!r}",
+                             line_no)
+        edges += 1
+        u = intern(tokens[0], len(index))
+        v = intern(tokens[1], len(index))
+        if u < v:
+            add((u, v))
+        elif v < u:
+            add((v, u))
         else:
-            pairs.add(p)
-    if not saw_data:
+            self_loops += 1
+    if not edges:
         raise ParseError("empty edge list: no edges found")
+    duplicates = edges - self_loops - len(pairs)
     if self_loops or duplicates:
         logger.warning("dropped %d self-loop(s) and %d duplicate edge(s)", self_loops, duplicates)
-    return build_graph(len(ids), pairs, ids)
+    return _graph_of_pairs(len(index), pairs, IdMap(index))
 
 
 def write_edge_list(g: Graph, sink) -> None:

@@ -15,13 +15,20 @@ insertion order, padded with None to 2**k entries, k = total.bit_length().
 The speaker reads the entry at getrandbits(k) until it is a label, which is
 the rejection loop that CPython's `Random.randrange(total)` runs, so a draw
 costs O(1) expected reads, consumes the same random stream as `randrange`,
-and speaks the label whose span of the running counts holds the draw. `add`
-keeps a built tape current in place; `remove` and `rename` drop it, and the
-next draw rebuilds it.
+and speaks the label whose span of the running counts holds the draw.
+
+The pass holds the tapes and their bit lengths k in per-pass arrays, built
+at its start, where it also builds every missing tape. It does the
+listener's one-occurrence add inline, keeping the listener's tape and k
+current, and shuffles the listeners with `Random.shuffle`'s loop written
+out, drawing the same words. `LabelMemory.add` keeps a built tape current
+for any count (initialization and repairs); `remove` and `rename`, which run
+only between passes, drop it, and the next pass rebuilds it at its start.
 
 The listener counts the labels as it hears them, skipping those blocked by
-cannot-link partners, and draws among the labels tied for most popular, in
-first-heard order, only when there is more than one.
+cannot-link partners, takes a lone label as it is, and draws among the
+labels tied for most popular, in first-heard order, only when there is more
+than one.
 
 A PartnerTops index keeps, for each node with cannot-link partners, the
 multiset of its partners' current tops. It is updated wherever a constrained
@@ -204,9 +211,22 @@ def init_memories(g: Graph) -> list[LabelMemory]:
 
 
 def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
+    """The pass's listeners: under 'sweep' range(n) shuffled as
+    `rng.shuffle` shuffles it, under 'uniform_draws' n draws of randrange(n).
+
+    The shuffle is Fisher-Yates with `Random._randbelow` inlined: position i
+    swaps with getrandbits((i + 1).bit_length()), redrawn while it exceeds i,
+    which consumes the random stream word for word as `rng.shuffle` does.
+    """
     if schedule == SCHEDULE_SWEEP:
         order = list(range(n))
-        rng.shuffle(order)
+        getrandbits = rng.getrandbits
+        for i in range(n - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
         return order
     return [rng.randrange(n) for _ in range(n)]
 
@@ -225,14 +245,20 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
     labels are all dropped, is unchanged. With adjacency lists as speakers
     and an empty index this is the unsupervised pass.
 
+    The pass holds the draw tapes, building those that remove or rename
+    dropped since the last pass, and their bit lengths k in per-pass arrays.
     Each speaker's draw is inlined: `rng.randrange(total)` by its own
-    rejection loop, which reads the draw tape at getrandbits(k) until the
-    entry is a label. The listener counts labels as it hears them and checks
-    a label against partner_tops only when it first hears it.
+    rejection loop, which reads the tape at getrandbits(k) until the entry
+    is a label. The listener counts labels as it hears them, checks a label
+    against partner_tops only when it first hears it, takes a lone label
+    without a vote, and adds its one occurrence inline as
+    `LabelMemory.add(label)` would, keeping its tape and k current.
     """
     getrandbits, randrange = rng.getrandbits, rng.randrange
-    blocked = partner_tops.blocked
+    blocked, moved = partner_tops.blocked, partner_tops.moved
     unblocked: dict[int, int] = {}
+    tapes = [memory.tape or memory.draw_tape() for memory in memories]
+    bits = [memory.total.bit_length() for memory in memories]
     for v in listener_order(len(speakers), schedule, rng):
         node_speakers = speakers[v]
         if not node_speakers:
@@ -240,11 +266,8 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
         node_blocked = blocked.get(v, unblocked)
         heard: dict[int, int] = {}
         for u in node_speakers:
-            memory = memories[u]
-            tape = memory.tape
-            if tape is None:
-                tape = memory.draw_tape()
-            k = memory.total.bit_length()
+            tape = tapes[u]
+            k = bits[u]
             label = tape[getrandbits(k)]
             while label is None:
                 label = tape[getrandbits(k)]
@@ -254,14 +277,34 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
                 heard[label] = 1
         if not heard:
             continue
-        best = max(heard.values())
-        winners = [label for label, count in heard.items() if count == best]
-        label = winners[0] if len(winners) == 1 else winners[randrange(len(winners))]
+        if len(heard) == 1:
+            label, = heard
+        else:
+            best = max(heard.values())
+            winners = [label for label, count in heard.items() if count == best]
+            label = winners[0] if len(winners) == 1 else winners[randrange(len(winners))]
+        # LabelMemory.add(label) for one occurrence, on the pass's tape
         memory = memories[v]
+        counts = memory.counts
+        tape = tapes[v]
+        total = memory.total
+        count = counts.get(label, 0)
+        counts[label] = count + 1
+        tape.insert(tape.index(label) + count if count else total, label)
+        total += 1
+        memory.total = total
+        if total & (total - 1):
+            tape.pop()
+        else:
+            tape += [None] * (total - 1)
+            bits[v] = total.bit_length()
         top = memory.top
-        memory.add(label)
-        if node_blocked and memory.top != top:
-            partner_tops.moved(v, top, memory.top)
+        if label != top:
+            top_count = counts[top]
+            if count >= top_count or (count + 1 == top_count and label < top):
+                memory.top = label
+                if node_blocked:
+                    moved(v, top, label)
 
 
 def post_process(memories: list[LabelMemory], threshold: float) -> Cover:

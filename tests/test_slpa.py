@@ -295,6 +295,8 @@ def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
         reference_pass(g.adjacency, slow, cl_partners, rng_slow, schedule)
         assert [state(m) for m in fast] == [state(m) for m in slow]
         assert rng_fast.getstate() == rng_slow.getstate()
+        # the pass keeps the tapes it builds current in place
+        assert all(m.tape is None or m.tape == expanded(m) for m in fast)
         # change memories between passes, as repairs do
         for op, v, label, k in operations:
             for memories in (fast, slow):
@@ -308,6 +310,25 @@ def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
                     m.rename({label: k})
                 if memories is fast:
                     partner_tops.moved(v, top, m.top)
+
+
+def test_pass_grows_a_tape_across_powers_of_two():
+    # Node 0 hears one of ten labels, new or already held, once per pass, so
+    # its total crosses 2, 4, ..., 256 and its tape doubles at each; node 2
+    # hears node 0, in the same pass as a doubling about half the time.
+    fast = [LabelMemory(0), mem({label: 1 for label in range(10, 20)}), LabelMemory(2)]
+    slow = [mem(dict(m.counts)) for m in fast]
+    speakers = [[1], [], [0]]
+    rng_fast, rng_slow = random.Random(7), random.Random(7)
+    partner_tops = PartnerTops({}, fast)
+    for passes in range(1, 301):
+        evaluation_pass(speakers, fast, partner_tops, rng_fast, "sweep")
+        reference_pass(speakers, slow, {}, rng_slow, "sweep")
+        assert [state(m) for m in fast] == [state(m) for m in slow]
+        assert rng_fast.getstate() == rng_slow.getstate()
+        assert fast[0].total == passes + 1
+        for m in fast:
+            assert m.tape == expanded(m)
 
 
 def test_listen_picks_clear_majority():
@@ -339,6 +360,17 @@ def test_listener_order_schedules():
     draws = listener_order(6, "uniform_draws", rng)
     assert len(draws) == 6
     assert all(0 <= v < 6 for v in draws)
+
+
+def test_sweep_order_is_the_stdlib_shuffle():
+    # n up to 130 crosses every bit-length boundary of the swap draws up to 128
+    for seed in (0, 1, 12345):
+        for n in range(131):
+            rng, reference = random.Random(seed), random.Random(seed)
+            order = list(range(n))
+            reference.shuffle(order)
+            assert listener_order(n, "sweep", rng) == order
+            assert rng.getstate() == reference.getstate()
 
 
 def test_init_memories_hold_own_label():
