@@ -178,7 +178,8 @@ def _transfer(memories: list[LabelMemory], receiver: int, label: int,
     if label not in counts:
         gained.add(receiver)
     memory.add(label, counts[top] - counts.get(label, 0))
-    partner_tops.moved(receiver, top, memory.top)
+    if memory.top != top:
+        partner_tops.moved(receiver, top, memory.top)
 
 
 def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
@@ -237,10 +238,9 @@ def repair_cannot_link(memories: list[LabelMemory], partner_tops: PartnerTops,
     reported to partner_tops."""
     for u, v in pairs:
         mu, mv = memories[u], memories[v]
-        common = mu.counts.keys() & mv.counts.keys()
-        if not common:
+        if mu.counts.keys().isdisjoint(mv.counts.keys()):
             continue
-        for label in sorted(common):
+        for label in sorted(mu.counts.keys() & mv.counts.keys()):
             # cross-multiplied shares, so that no float comparison decides
             (su, nu), (sv, nv) = (_support(label, u, speakers, memories),
                                   _support(label, v, speakers, memories))

@@ -21,14 +21,19 @@ The pass holds the tapes and their bit lengths k in per-pass arrays, built
 at its start, where it also builds every missing tape. It does the
 listener's one-occurrence add inline, keeping the listener's tape and k
 current, and shuffles the listeners with `Random.shuffle`'s loop written
-out, drawing the same words. `LabelMemory.add` keeps a built tape current
-for any count (initialization and repairs); `remove` and `rename`, which run
-only between passes, drop it, and the next pass rebuilds it at its start.
+out, drawing the same words; the shuffle carries the bit length of its
+bound down across powers of two rather than recomputing it per position.
+`LabelMemory.add` keeps a built tape current for any count (initialization
+and repairs); `remove` and `rename`, which run only between passes, drop it,
+and the next pass rebuilds it at its start.
 
-The listener counts the labels as it hears them, skipping those blocked by
-cannot-link partners, takes a lone label as it is, and draws among the
-labels tied for most popular, in first-heard order, only when there is more
-than one.
+The listener votes as it hears: it counts the labels, skipping those
+blocked by cannot-link partners, and keeps the best count, the first label
+to reach it and how many labels hold it. A label that holds the best count
+alone wins without a draw; only on a tie does it build the list of tied
+labels, in first-heard order, and draw one. Counts rise by one, so every
+label holding the best count at the end set it or reached it, and the
+number kept is the length of that list.
 
 A PartnerTops index keeps, for each node with cannot-link partners, the
 multiset of its partners' current tops. It is updated wherever a constrained
@@ -112,9 +117,9 @@ class LabelMemory:
         """Move the occurrences of each label in targets to its target label,
         which must not itself be renamed; report whether any label moved."""
         counts = self.counts
-        moved = [label for label in counts if label in targets]
-        if not moved:
+        if counts.keys().isdisjoint(targets.keys()):
             return False
+        moved = [label for label in counts if label in targets]
         for label in moved:
             target = targets[label]
             counts[target] = counts.get(target, 0) + counts.pop(label)
@@ -215,14 +220,20 @@ def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
     `rng.shuffle` shuffles it, under 'uniform_draws' n draws of randrange(n).
 
     The shuffle is Fisher-Yates with `Random._randbelow` inlined: position i
-    swaps with getrandbits((i + 1).bit_length()), redrawn while it exceeds i,
-    which consumes the random stream word for word as `rng.shuffle` does.
+    swaps with getrandbits(k), k = (i + 1).bit_length(), redrawn while it
+    exceeds i, which consumes the random stream word for word as
+    `rng.shuffle` does. k starts at n.bit_length() and is carried down, one
+    bit each time i falls below 2**(k - 1) - 1.
     """
     if schedule == SCHEDULE_SWEEP:
         order = list(range(n))
         getrandbits = rng.getrandbits
+        k = n.bit_length()
+        edge = (1 << k >> 1) - 1
         for i in range(n - 1, 0, -1):
-            k = (i + 1).bit_length()
+            if i < edge:
+                k -= 1
+                edge >>= 1
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
@@ -250,8 +261,11 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
     Each speaker's draw is inlined: `rng.randrange(total)` by its own
     rejection loop, which reads the tape at getrandbits(k) until the entry
     is a label. The listener counts labels as it hears them, checks a label
-    against partner_tops only when it first hears it, takes a lone label
-    without a vote, and adds its one occurrence inline as
+    against partner_tops only when it first hears it, and keeps the best
+    count, the first label to reach it and the number of labels that hold
+    it. It takes that label without a draw when it holds the best count
+    alone; only on a tie does it list the tied labels, in first-heard order,
+    and draw one with randrange. It adds its one occurrence inline as
     `LabelMemory.add(label)` would, keeping its tape and k current.
     """
     getrandbits, randrange = rng.getrandbits, rng.randrange
@@ -260,29 +274,35 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
     tapes = [memory.tape or memory.draw_tape() for memory in memories]
     bits = [memory.total.bit_length() for memory in memories]
     for v in listener_order(len(speakers), schedule, rng):
-        node_speakers = speakers[v]
-        if not node_speakers:
-            continue
         node_blocked = blocked.get(v, unblocked)
         heard: dict[int, int] = {}
-        for u in node_speakers:
+        best = 0
+        for u in speakers[v]:
             tape = tapes[u]
             k = bits[u]
             label = tape[getrandbits(k)]
             while label is None:
                 label = tape[getrandbits(k)]
             if label in heard:
-                heard[label] += 1
+                count = heard[label] + 1
+                heard[label] = count
+                if count > best:
+                    best, winner, ties = count, label, 1
+                elif count == best:
+                    ties += 1
             elif label not in node_blocked:
                 heard[label] = 1
-        if not heard:
+                if not best:
+                    best, winner, ties = 1, label, 1
+                elif best == 1:
+                    ties += 1
+        if not best:
             continue
-        if len(heard) == 1:
-            label, = heard
+        if ties == 1:
+            label = winner
         else:
-            best = max(heard.values())
             winners = [label for label, count in heard.items() if count == best]
-            label = winners[0] if len(winners) == 1 else winners[randrange(len(winners))]
+            label = winners[randrange(ties)]
         # LabelMemory.add(label) for one occurrence, on the pass's tape
         memory = memories[v]
         counts = memory.counts

@@ -353,6 +353,39 @@ def test_listen_never_returns_minority_label():
                      blocked=LabelMemory(7)) == {}
 
 
+@pytest.mark.parametrize("hearing, blocked_label, winners", [
+    # 5 reaches 2, 6 ties it, 7 overtakes both at 3
+    pytest.param([5, 5, 6, 6, 7, 7, 7], None, {7}, id="overtake"),
+    # three labels tie at 2, after each led at 1
+    pytest.param([1, 2, 3, 3, 2, 1], None, {1, 2, 3}, id="three-tie-at-2"),
+    pytest.param([8, 6, 7], None, {6, 7, 8}, id="three-tie-at-1"),
+    # the most-heard label is the partner's top, so the runner-up wins
+    pytest.param([9, 4, 9, 5, 4, 9], 9, {4}, id="blocked-best"),
+    pytest.param([9, 4, 9, 5, 9], 9, {4, 5}, id="blocked-best-runners-up-tie"),
+    # the listener is unchanged
+    pytest.param([9, 9, 9], 9, set(), id="all-blocked"),
+    pytest.param([3, 3, 3, 3], None, {3}, id="lone-label"),
+])
+def test_vote_on_chosen_hearing_orders(hearing, blocked_label, winners):
+    # Listener 0 hears one single-label speaker per entry of hearing, in
+    # that order; node 1 is its cannot-link partner, topping on blocked_label.
+    partner_label = -2 if blocked_label is None else blocked_label
+    speakers = [list(range(2, 2 + len(hearing))), []] + [[] for _ in hearing]
+    cl_partners = {0: {1}, 1: {0}}
+    chosen = set()
+    for seed in range(50):
+        fast, slow = ([LabelMemory(-1), LabelMemory(partner_label)]
+                      + [LabelMemory(label) for label in hearing] for _ in range(2))
+        rng_fast, rng_slow = random.Random(seed), random.Random(seed)
+        evaluation_pass(speakers, fast, PartnerTops(cl_partners, fast), rng_fast, "sweep")
+        reference_pass(speakers, slow, cl_partners, rng_slow, "sweep")
+        assert [state(m) for m in fast] == [state(m) for m in slow]
+        assert rng_fast.getstate() == rng_slow.getstate()
+        chosen.update(label for label in fast[0].counts if label != -1)
+    # over 50 seeds every tied label is drawn at least once
+    assert chosen == winners
+
+
 def test_listener_order_schedules():
     rng = random.Random(4)
     order = listener_order(6, "sweep", rng)
@@ -363,9 +396,11 @@ def test_listener_order_schedules():
 
 
 def test_sweep_order_is_the_stdlib_shuffle():
-    # n up to 130 crosses every bit-length boundary of the swap draws up to 128
+    # n up to 130 crosses every bit-length boundary of the swap draws up to
+    # 128; the larger n start just below, at and just above a power of two
+    larger = [2**p + d for p in (8, 9, 10, 12) for d in (-1, 0, 1)]
     for seed in (0, 1, 12345):
-        for n in range(131):
+        for n in [*range(131), *larger]:
             rng, reference = random.Random(seed), random.Random(seed)
             order = list(range(n))
             reference.shuffle(order)
