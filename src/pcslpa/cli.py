@@ -11,7 +11,8 @@ Subcommands:
 
 Most flags can also be given in a config file (--config): one `key = value`
 per line, '#' comments, keys matching the long flag names with '-' or '_'.
-Command line flags override config values.
+Command line flags override config values. A key that is the long flag of no
+subcommand is an error; one file may carry the keys of several subcommands.
 """
 
 from __future__ import annotations
@@ -88,9 +89,26 @@ def resolve(args, config: dict[str, str], key: str, default, cast):
     return default
 
 
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The keys a config file may set: the long flags of every subcommand,
+    in the underscore form that load_config gives keys."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag[2:].replace("-", "_")
+            for sub in subparsers.choices.values() for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings if flag.startswith("--")}
+
+
 def _load_effective_config(args) -> dict[str, str]:
     path = getattr(args, "config", None)
-    return load_config(path) if path else {}
+    if not path:
+        return {}
+    config = load_config(path)
+    unknown = sorted(config.keys() - _config_keys(build_parser()))
+    if unknown:
+        raise ValueError(f"{path}: no subcommand has a flag for config key(s) "
+                         f"{', '.join(unknown)}")
+    return config
 
 
 def _write_output(out, text: str) -> None:
@@ -118,8 +136,6 @@ def _add_common_experiment_flags(p) -> None:
     p.add_argument("--init-fraction", type=float, default=None,
                    help="fraction of the budget spent per random seeding round "
                         f"(default {DEFAULTS.init_fraction})")
-    p.add_argument("--listener-schedule", choices=("sweep", "uniform_draws"), default=None,
-                   help=f"listener selection per pass (default {DEFAULTS.listener_schedule})")
     p.add_argument("--repair-every", type=int, default=None,
                    help="repair constraints after every k-th pass and after the last; "
                         f"k >= T repairs once (default {DEFAULTS.repair_every})")
@@ -141,8 +157,6 @@ def _experiment_config(args, config, edges, truth, algo, pcts, network_id="") ->
         universe=resolve(args, config, "universe", DEFAULTS.universe, str),
         init_fraction=resolve(args, config, "init_fraction", DEFAULTS.init_fraction, float),
         repair_every=resolve(args, config, "repair_every", DEFAULTS.repair_every, int),
-        listener_schedule=resolve(args, config, "listener_schedule",
-                                  DEFAULTS.listener_schedule, str),
         network_id=network_id,
     )
 

@@ -15,8 +15,10 @@ label, `memory.top`, which its LabelMemory keeps current:
   label merge finds its separations in it;
 * repair, after every `repair_every`-th pass and after the last: top labels
   that a must-link pair joins and no cannot-link pair separates merge into
-  one; each must-link pair whose tops still differ is aligned one way; labels
-  shared across a cannot-link pair are stripped from one side;
+  one; in each must-link pair whose tops still differ, one endpoint gains
+  the partner's top label, tied with its own top, which it takes over only
+  when it has the lower id; labels shared across a cannot-link pair are
+  stripped from one side;
 * post-processing: a constrained node left only in orphan communities (of
   ORPHAN_SIZE nodes or fewer) joins the community most common among its
   speakers that holds none of its cannot-link partners.
@@ -185,12 +187,14 @@ def _transfer(memories: list[LabelMemory], receiver: int, label: int,
 def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
                      report: RepairReport, gained: set[int],
                      partner_tops: PartnerTops) -> RepairReport:
-    """Align each must-link pair of ml_pairs, in order, on a shared top label,
-    one way.
+    """Give one endpoint of each must-link pair of ml_pairs whose top labels
+    differ, in order, the partner's top label, tied with its own top.
 
     For a pair whose top labels differ, the node whose top holds the smaller
     share of its memory (the lower id on a tie) receives the partner's top
     label, raised to its own current maximum count so that it ties for top.
+    A tie keeps the lower id on top, so the receiver's top moves only when
+    the received label has the lower id; otherwise the pair's tops differ.
     The partner receives instead only if that transfer is blocked: a transfer
     to a node is blocked when one of that node's cannot-link partners tops on
     the label, which partner_tops answers by lookup and transfers keep
@@ -345,8 +349,7 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         widths = [len(memory.counts) for memory in memories]
 
     for i in range(1, base.iterations + 1):
-        constrained_evaluation_pass(speakers, memories, partner_tops, rng,
-                                    base.listener_schedule)
+        constrained_evaluation_pass(speakers, memories, partner_tops, rng)
         final = i == base.iterations
         if final or i % params.repair_every == 0:
             repair(final)

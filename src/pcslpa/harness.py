@@ -48,7 +48,6 @@ class ExperimentConfig:
     universe: str = "covered"
     init_fraction: float = 0.5
     repair_every: int = DEFAULT_REPAIR_EVERY
-    listener_schedule: str = "sweep"
     network_id: str = ""
 
     def __post_init__(self):
@@ -109,8 +108,7 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
     """
     seed = derive_seed(cfg.seed, pct, run_index)
     universe = truth.nodes() if cfg.universe == "covered" else set(range(g.n))
-    base = SlpaParams(iterations=cfg.iterations, threshold=cfg.threshold,
-                      seed=seed, listener_schedule=cfg.listener_schedule)
+    base = SlpaParams(iterations=cfg.iterations, threshold=cfg.threshold, seed=seed)
     started = time.perf_counter()
     if algo == ALGO_SLPA:
         store = None

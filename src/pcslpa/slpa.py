@@ -1,14 +1,15 @@
 """Unsupervised speaker-listener label propagation.
 
 Every node keeps a memory of label occurrence counts, seeded with its own
-unique label (its node id). Each pass, every node listens once: its neighbors
-each speak one label drawn proportionally to their memory frequencies, and the
-listener adds the most popular received label to its memory. Thresholding the
-final per-node label distributions yields an overlapping cover. A memory also
-keeps its top label, the most frequent one (the lowest id on a tie), as
-`memory.top`. The same pass loop runs the constrained variant
-(pcslpa.constrained), which supplies its own speaker lists and cannot-link
-partners, and whose listeners reject the top labels of those partners.
+unique label (its node id). Each pass, every node listens once, in shuffled
+order: its neighbors each speak one label drawn proportionally to their
+memory frequencies, and the listener adds the most popular received label to
+its memory. Thresholding the final per-node label distributions yields an
+overlapping cover. A memory also keeps its top label, the most frequent one
+(the lowest id on a tie), as `memory.top`. The same pass loop runs the
+constrained variant (pcslpa.constrained), which supplies its own speaker
+lists and cannot-link partners, and whose listeners reject the top labels of
+those partners.
 
 A speaker's draw reads its memory's draw tape: each label `count` times in
 insertion order, padded with None to 2**k entries, k = total.bit_length().
@@ -23,9 +24,9 @@ listener's one-occurrence add inline, keeping the listener's tape and k
 current, and shuffles the listeners with `Random.shuffle`'s loop written
 out, drawing the same words; the shuffle carries the bit length of its
 bound down across powers of two rather than recomputing it per position.
-`LabelMemory.add` keeps a built tape current for any count (initialization
-and repairs); `remove` and `rename`, which run only between passes, drop it,
-and the next pass rebuilds it at its start.
+Only the pass writes tapes: `LabelMemory.add`, `remove` and `rename`, which
+run outside it (initialization and repairs), drop a built tape, and the next
+pass builds it afresh at its start, in the counts' insertion order.
 
 The listener votes as it hears: it counts the labels, skipping those
 blocked by cannot-link partners, and keeps the best count, the first label
@@ -49,9 +50,6 @@ from dataclasses import dataclass
 
 from .graph import Cover, Graph
 
-SCHEDULE_SWEEP = "sweep"
-SCHEDULE_UNIFORM = "uniform_draws"
-
 
 class LabelMemory:
     """Multiset of labels with occurrence counts, never empty.
@@ -60,8 +58,8 @@ class LabelMemory:
     count, the lowest label id on a tie; add, remove and rename keep both
     current. tape is the draw tape, or None until draw_tape() builds it: each
     label `count` times in insertion order, padded with None to 2**k entries,
-    k = total.bit_length(), so tape[x] is None exactly when x >= total. add
-    keeps a built tape current in place; remove and rename drop it.
+    k = total.bit_length(), so tape[x] is None exactly when x >= total. Only
+    the evaluation pass keeps a tape current; add, remove and rename drop it.
     """
 
     __slots__ = ("counts", "total", "top", "tape")
@@ -89,19 +87,9 @@ class LabelMemory:
                 raise ValueError("cannot add a negative count")
             return
         counts = self.counts
-        count = counts.get(label, 0)
-        counts[label] = count + k
-        total = self.total
-        tape = self.tape
-        if tape is not None:
-            # the label's run ends at its first entry plus its count; a new
-            # label's run starts where the padding did
-            at = tape.index(label) + count if count else total
-            tape[at:at] = [label] * k
-            size = 1 << (total + k).bit_length()
-            del tape[size:]
-            tape += [None] * (size - len(tape))
-        self.total = total + k
+        counts[label] = counts.get(label, 0) + k
+        self.total += k
+        self.tape = None
         self._contest(label)
 
     def remove(self, label: int) -> None:
@@ -192,22 +180,17 @@ class PartnerTops:
 @dataclass(frozen=True)
 class SlpaParams:
     """iterations: number of evaluation passes; threshold: minimum label
-    probability that survives post-processing; listener_schedule: 'sweep'
-    (every node listens once per pass, shuffled) or 'uniform_draws'
-    (n independent uniform listener draws per pass)."""
+    probability that survives post-processing."""
 
     iterations: int = 100
     threshold: float = 0.1
     seed: int = 0
-    listener_schedule: str = SCHEDULE_SWEEP
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.listener_schedule not in (SCHEDULE_SWEEP, SCHEDULE_UNIFORM):
-            raise ValueError(f"unknown listener schedule {self.listener_schedule!r}")
 
 
 def init_memories(g: Graph) -> list[LabelMemory]:
@@ -215,9 +198,8 @@ def init_memories(g: Graph) -> list[LabelMemory]:
     return [LabelMemory(v) for v in range(g.n)]
 
 
-def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
-    """The pass's listeners: under 'sweep' range(n) shuffled as
-    `rng.shuffle` shuffles it, under 'uniform_draws' n draws of randrange(n).
+def listener_order(n: int, rng: random.Random) -> list[int]:
+    """The pass's listeners: range(n) shuffled as `rng.shuffle` shuffles it.
 
     The shuffle is Fisher-Yates with `Random._randbelow` inlined: position i
     swaps with getrandbits(k), k = (i + 1).bit_length(), redrawn while it
@@ -225,27 +207,24 @@ def listener_order(n: int, schedule: str, rng: random.Random) -> list[int]:
     `rng.shuffle` does. k starts at n.bit_length() and is carried down, one
     bit each time i falls below 2**(k - 1) - 1.
     """
-    if schedule == SCHEDULE_SWEEP:
-        order = list(range(n))
-        getrandbits = rng.getrandbits
-        k = n.bit_length()
-        edge = (1 << k >> 1) - 1
-        for i in range(n - 1, 0, -1):
-            if i < edge:
-                k -= 1
-                edge >>= 1
+    order = list(range(n))
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    edge = (1 << k >> 1) - 1
+    for i in range(n - 1, 0, -1):
+        if i < edge:
+            k -= 1
+            edge >>= 1
+        j = getrandbits(k)
+        while j > i:
             j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            order[i], order[j] = order[j], order[i]
-        return order
-    return [rng.randrange(n) for _ in range(n)]
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
-                    partner_tops: PartnerTops, rng: random.Random,
-                    schedule: str) -> None:
-    """One pass over the listeners chosen by `schedule`.
+                    partner_tops: PartnerTops, rng: random.Random) -> None:
+    """One pass: every listener listens once, in the order of listener_order.
 
     Each listener v hears one spoken label from every node in speakers[v],
     drops each label that is the current top (LabelMemory.top) of one of its
@@ -256,7 +235,7 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
     labels are all dropped, is unchanged. With adjacency lists as speakers
     and an empty index this is the unsupervised pass.
 
-    The pass holds the draw tapes, building those that remove or rename
+    The pass holds the draw tapes, building those that add, remove or rename
     dropped since the last pass, and their bit lengths k in per-pass arrays.
     Each speaker's draw is inlined: `rng.randrange(total)` by its own
     rejection loop, which reads the tape at getrandbits(k) until the entry
@@ -265,15 +244,16 @@ def evaluation_pass(speakers: list[list[int]], memories: list[LabelMemory],
     count, the first label to reach it and the number of labels that hold
     it. It takes that label without a draw when it holds the best count
     alone; only on a tie does it list the tied labels, in first-heard order,
-    and draw one with randrange. It adds its one occurrence inline as
-    `LabelMemory.add(label)` would, keeping its tape and k current.
+    and draw one with randrange. It adds its one occurrence inline, to the
+    counts, total and top as `LabelMemory.add(label)` does, and keeps its
+    tape and k current.
     """
     getrandbits, randrange = rng.getrandbits, rng.randrange
     blocked, moved = partner_tops.blocked, partner_tops.moved
     unblocked: dict[int, int] = {}
     tapes = [memory.tape or memory.draw_tape() for memory in memories]
     bits = [memory.total.bit_length() for memory in memories]
-    for v in listener_order(len(speakers), schedule, rng):
+    for v in listener_order(len(speakers), rng):
         node_blocked = blocked.get(v, unblocked)
         heard: dict[int, int] = {}
         best = 0
@@ -356,5 +336,5 @@ def run_slpa(g: Graph, params: SlpaParams) -> Cover:
     memories = init_memories(g)
     partner_tops = PartnerTops({}, memories)
     for _ in range(params.iterations):
-        evaluation_pass(g.adjacency, memories, partner_tops, rng, params.listener_schedule)
+        evaluation_pass(g.adjacency, memories, partner_tops, rng)
     return post_process(memories, params.threshold)

@@ -159,6 +159,32 @@ def test_config_file_supplies_defaults_and_flags_override(planted, tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("key", ["repair_evry", "verbose", "help"])
+def test_config_key_that_no_flag_reads_is_an_error(planted, tmp_path, capsys, key):
+    edges, truth = planted
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"T = 10\n{key} = 2\n")
+    rc = main(["run", "--edges", str(edges), "--truth", str(truth),
+               "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_config_keys_of_other_subcommands_are_accepted(planted, tmp_path, capsys):
+    # one file for run, sweep and nmi: nmi reads only truth and universe
+    edges, truth = planted
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(f"truth = {truth}\nuniverse = covered\nT = 10\nruns = 2\n"
+                   "repair_every = 3\nbudget_pct = 0.05\nraw-out = raw.csv\n")
+    assert main(["nmi", str(truth), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.strip() == "1.000000"
+    out = tmp_path / "r.csv"
+    assert main(["run", "--edges", str(edges), "--config", str(cfg), "--algo", "pcslpa",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_load_config_parses_both_separator_styles(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("a = 1\nb 2\n--dashed-key = 3\n# comment\n\n")

@@ -24,19 +24,14 @@ from pcslpa.planted import gen_planted_overlap
 
 RUNS = 3
 
+# keyed by --repair-every
 GOLDEN = {
-    ("sweep", 1):
-        "c06b90de376001015df691e8fa20bec93ea087c4ee8610cf46f83b34fe5ba719",
-    ("sweep", 5):
-        "eb2299c13845d3a9cc82f4e85c50ee0ed9d3b547274144a3e615d4ce0e1a614d",
-    ("sweep", 100):
-        "88bc1d900c75ce00f008c2e238c3e8ea1ce98128a97e5e1a4018fe358a123cda",
-    ("uniform_draws", 1):
-        "90720f19741da0298c8a6c4381011a921ce1c032f046cefaeb4942785a558cdf",
-    ("uniform_draws", 5):
-        "a7e44bf5ba65a70b36e41f35623be426416093af8aa25f8ea37fac7474499284",
-    ("uniform_draws", 100):
-        "1af34fc65dd79b6ce162c43899f221f5baba8327daa69a4346e255cc1629241c",
+    1: "c06b90de376001015df691e8fa20bec93ea087c4ee8610cf46f83b34fe5ba719",
+    2: "6f56503f01c7cb13719e11639a23d58d4acc317eafd1c01099cd2535290e9941",
+    5: "eb2299c13845d3a9cc82f4e85c50ee0ed9d3b547274144a3e615d4ce0e1a614d",
+    10: "053d9d5123f370d859c622166e3c2a83fb0a542adff8b6ba0b370af7485aeeb6",
+    33: "09b76550892817c505e5c4221ca7464411dc7f8ebcb8aaa18f8f5f1bcecc1fb5",
+    100: "88bc1d900c75ce00f008c2e238c3e8ea1ce98128a97e5e1a4018fe358a123cda",
 }
 
 
@@ -50,19 +45,18 @@ def planted76(tmp_path_factory):
     return edges, cover
 
 
-def sweep_digest(edges, truth, out_dir, schedule: str, repair_every: int) -> str:
+def sweep_digest(edges, truth, out_dir, repair_every: int) -> str:
     """SHA-256 of the raw CSV followed by the report of one sweep."""
     raw, report = out_dir / "raw.csv", out_dir / "report.csv"
     rc = main(["sweep", "--edges", str(edges), "--truth", str(truth),
                "--budget-pct", "0.01", "--budget-pct", "0.05", "--runs", str(RUNS),
-               "--listener-schedule", schedule, "--repair-every", str(repair_every),
+               "--repair-every", str(repair_every),
                "--no-timing", "--raw-out", str(raw), "--out", str(report)])
     assert rc == 0
     return hashlib.sha256(raw.read_bytes() + report.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("schedule, repair_every", sorted(GOLDEN))
-def test_sweep_output_matches_the_pinned_digest(planted76, tmp_path, schedule, repair_every):
+@pytest.mark.parametrize("repair_every", sorted(GOLDEN))
+def test_sweep_output_matches_the_pinned_digest(planted76, tmp_path, repair_every):
     edges, truth = planted76
-    assert sweep_digest(edges, truth, tmp_path, schedule, repair_every) == \
-        GOLDEN[schedule, repair_every]
+    assert sweep_digest(edges, truth, tmp_path, repair_every) == GOLDEN[repair_every]

@@ -37,8 +37,6 @@ from pcslpa.constraints import (
 from pcslpa.graph import Cover, build_graph
 from pcslpa.planted import gen_planted_overlap
 from pcslpa.slpa import (
-    SCHEDULE_SWEEP,
-    SCHEDULE_UNIFORM,
     LabelMemory,
     PartnerTops,
     SlpaParams,
@@ -69,7 +67,7 @@ def recount_partner_tops(mems, store) -> dict[int, dict[int, int]]:
 
 def constrained_pass(g, store, mems, rng) -> None:
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
-    constrained_evaluation_pass(speakers, mems, partner_tops(mems, store), rng, "sweep")
+    constrained_evaluation_pass(speakers, mems, partner_tops(mems, store), rng)
 
 
 def ml_repair(mems, store) -> RepairReport:
@@ -191,7 +189,7 @@ def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
                 and index.blocked == recount_partner_tops(mems, store))
 
     for _ in range(6):
-        constrained_evaluation_pass(speakers, mems, index, rng, "sweep")
+        constrained_evaluation_pass(speakers, mems, index, rng)
         assert tops_are_argmax()
     report, gained = RepairReport(), set()
     merge_linked_labels(mems, store, report, gained, index)
@@ -210,9 +208,8 @@ def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25),
            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
                     max_size=12))),
-       st.integers(0, 2**32 - 1),
-       st.sampled_from((SCHEDULE_SWEEP, SCHEDULE_UNIFORM)))
-def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed, schedule):
+       st.integers(0, 2**32 - 1))
+def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed):
     n, edges, constraints = case
     g = build_graph(n, edges)
     store = ConstraintStore()
@@ -226,7 +223,7 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed, sch
     assert index.blocked == recount_partner_tops(mems, store)
     for _ in range(3):
         for _ in range(2):
-            constrained_evaluation_pass(speakers, mems, index, rng, schedule)
+            constrained_evaluation_pass(speakers, mems, index, rng)
             assert index.blocked == recount_partner_tops(mems, store)
         report, gained = RepairReport(), set()
         # also before a merge, which otherwise aligns most must-link tops
@@ -426,13 +423,11 @@ def test_cl_repair_tie_side_is_random_but_seeded():
 
 def test_empty_store_reduces_to_unsupervised_run():
     g, _ = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
-    for schedule in (SCHEDULE_SWEEP, SCHEDULE_UNIFORM):
-        for seed in range(5):
-            base = SlpaParams(iterations=40, threshold=0.1, seed=seed,
-                              listener_schedule=schedule)
-            plain = run_slpa(g, base)
-            constrained = run_pcslpa_report(g, ConstraintStore(), PcSlpaParams(base=base))[0]
-            assert cover_key(plain) == cover_key(constrained)
+    for seed in range(10):
+        base = SlpaParams(iterations=40, threshold=0.1, seed=seed)
+        plain = run_slpa(g, base)
+        constrained = run_pcslpa_report(g, ConstraintStore(), PcSlpaParams(base=base))[0]
+        assert cover_key(plain) == cover_key(constrained)
 
 
 def test_output_communities_respect_cannot_links():

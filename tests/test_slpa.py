@@ -73,10 +73,10 @@ def listen(received: list[int], rng: random.Random) -> int:
     return top[rng.randrange(len(top))]
 
 
-def reference_pass(speakers, memories, cl_partners, rng, schedule) -> None:
+def reference_pass(speakers, memories, cl_partners, rng) -> None:
     """The pass loop with the reference draw; evaluation_pass must match it
     draw for draw."""
-    for v in listener_order(len(speakers), schedule, rng):
+    for v in listener_order(len(speakers), rng):
         if not speakers[v]:
             continue
         received = [speak(memories[u], rng) for u in speakers[v]]
@@ -159,21 +159,25 @@ def test_memory_add_of_zero_changes_nothing_and_negative_raises():
     assert m.tape == [0, None]
 
 
-def test_memory_add_keeps_a_built_tape_current():
+def test_memory_add_drops_a_built_tape():
+    # only the pass writes tapes: an add of at least one occurrence drops a
+    # built tape, an add of none leaves it, and the rebuilt tape lays the
+    # labels out in insertion order, as the tape by definition does
     m = mem({4: 2, 9: 1})
-    assert m.draw_tape() == [4, 4, 9, None]
-    m.add(4)
-    assert m.tape == [4, 4, 4, 9, None, None, None, None]
-    m.add(7)
-    assert m.tape == [4, 4, 4, 9, 7, None, None, None]
-    m.add(9, 2)
-    assert m.tape == [4, 4, 4, 9, 9, 9, 7, None]
-    m.add(4, 0)
-    assert m.tape == [4, 4, 4, 9, 9, 9, 7, None]
-    m.add(7, 12)
-    assert m.tape == [4, 4, 4, 9, 9, 9] + [7] * 13 + [None] * 13
-    m.remove(9)
-    assert m.tape is None
+    tape = m.draw_tape()
+    assert tape == [4, 4, 9, None]
+    m.add(9, 0)
+    m.add(5, 0)
+    assert m.tape is tape and tape == [4, 4, 9, None]
+    for label, k, rebuilt in [
+            (4, 1, [4, 4, 4, 9, None, None, None, None]),
+            (7, 1, [4, 4, 4, 9, 7, None, None, None]),
+            (9, 2, [4, 4, 4, 9, 9, 9, 7, None]),
+            (7, 12, [4, 4, 4, 9, 9, 9] + [7] * 13 + [None] * 13)]:
+        m.add(label, k)
+        assert m.tape is None
+        assert m.draw_tape() == rebuilt == expanded(m)
+        assert m.tape == rebuilt
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,11 +193,12 @@ def test_memory_add_keeps_a_built_tape_current():
 def test_memory_top_and_total_track_every_operation(first, operations):
     m = LabelMemory(first)
     for build, operation in operations:
-        # a tape built before the operation must be kept current or dropped;
-        # adds of up to 9 cross powers of two, and adds of 0 hit existing
-        # labels as well as new ones
+        # a tape built before the operation must be dropped or kept current;
+        # an add drops it unless it adds 0, and adds of 0 hit existing labels
+        # as well as new ones
         if build:
             m.draw_tape()
+        before = m.tape
         if operation[0] == "add":
             m.add(operation[1], operation[2])
         elif operation[0] == "remove":
@@ -209,8 +214,8 @@ def test_memory_top_and_total_track_every_operation(first, operations):
         assert m.total == sum(m.counts.values())
         assert all(count > 0 for count in m.counts.values())
         fresh = expanded(m)
-        if build and operation[0] == "add":
-            assert m.tape == fresh
+        if operation[0] == "add":
+            assert m.tape is (None if operation[2] else before)
         assert m.tape in (None, fresh)
         assert m.draw_tape() == fresh
         assert m.tape == fresh
@@ -231,7 +236,7 @@ def listen_to(speakers: list[LabelMemory], passes: int, seed: int,
     rng = random.Random(seed)
     index = PartnerTops(partners, memories)
     for _ in range(passes):
-        evaluation_pass(lists, memories, index, rng, "sweep")
+        evaluation_pass(lists, memories, index, rng)
     heard = dict(memories[0].counts)
     heard[-1] -= 1
     return {label: count for label, count in heard.items() if count}
@@ -259,7 +264,7 @@ def test_draw_is_randrange_of_the_total():
         for total in range(1, 4097):
             listener = LabelMemory(-1)
             memories = [listener, speaker]
-            evaluation_pass([[1], []], memories, PartnerTops({}, memories), rng, "sweep")
+            evaluation_pass([[1], []], memories, PartnerTops({}, memories), rng)
             reference.shuffle([0, 1])
             assert list(listener.counts) == [-1, reference.randrange(total)]
             assert rng.getstate() == reference.getstate()
@@ -275,9 +280,8 @@ def test_draw_is_randrange_of_the_total():
                               st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5)),
                     max_size=6))),
        st.integers(0, 2**32 - 1),
-       st.sampled_from(("sweep", "uniform_draws")),
        st.integers(1, 4))
-def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
+def test_pass_matches_the_reference_draw_for_draw(case, seed, passes):
     n, edges, cannot_links, operations = case
     g = build_graph(n, edges)
     cl_partners: dict[int, set[int]] = {}
@@ -291,8 +295,8 @@ def test_pass_matches_the_reference_draw_for_draw(case, seed, schedule, passes):
     partner_tops = PartnerTops(cl_partners, fast)
     rng_fast, rng_slow = random.Random(seed), random.Random(seed)
     for _ in range(passes):
-        evaluation_pass(g.adjacency, fast, partner_tops, rng_fast, schedule)
-        reference_pass(g.adjacency, slow, cl_partners, rng_slow, schedule)
+        evaluation_pass(g.adjacency, fast, partner_tops, rng_fast)
+        reference_pass(g.adjacency, slow, cl_partners, rng_slow)
         assert [state(m) for m in fast] == [state(m) for m in slow]
         assert rng_fast.getstate() == rng_slow.getstate()
         # the pass keeps the tapes it builds current in place
@@ -322,8 +326,8 @@ def test_pass_grows_a_tape_across_powers_of_two():
     rng_fast, rng_slow = random.Random(7), random.Random(7)
     partner_tops = PartnerTops({}, fast)
     for passes in range(1, 301):
-        evaluation_pass(speakers, fast, partner_tops, rng_fast, "sweep")
-        reference_pass(speakers, slow, {}, rng_slow, "sweep")
+        evaluation_pass(speakers, fast, partner_tops, rng_fast)
+        reference_pass(speakers, slow, {}, rng_slow)
         assert [state(m) for m in fast] == [state(m) for m in slow]
         assert rng_fast.getstate() == rng_slow.getstate()
         assert fast[0].total == passes + 1
@@ -377,22 +381,13 @@ def test_vote_on_chosen_hearing_orders(hearing, blocked_label, winners):
         fast, slow = ([LabelMemory(-1), LabelMemory(partner_label)]
                       + [LabelMemory(label) for label in hearing] for _ in range(2))
         rng_fast, rng_slow = random.Random(seed), random.Random(seed)
-        evaluation_pass(speakers, fast, PartnerTops(cl_partners, fast), rng_fast, "sweep")
-        reference_pass(speakers, slow, cl_partners, rng_slow, "sweep")
+        evaluation_pass(speakers, fast, PartnerTops(cl_partners, fast), rng_fast)
+        reference_pass(speakers, slow, cl_partners, rng_slow)
         assert [state(m) for m in fast] == [state(m) for m in slow]
         assert rng_fast.getstate() == rng_slow.getstate()
         chosen.update(label for label in fast[0].counts if label != -1)
     # over 50 seeds every tied label is drawn at least once
     assert chosen == winners
-
-
-def test_listener_order_schedules():
-    rng = random.Random(4)
-    order = listener_order(6, "sweep", rng)
-    assert sorted(order) == list(range(6))
-    draws = listener_order(6, "uniform_draws", rng)
-    assert len(draws) == 6
-    assert all(0 <= v < 6 for v in draws)
 
 
 def test_sweep_order_is_the_stdlib_shuffle():
@@ -404,7 +399,7 @@ def test_sweep_order_is_the_stdlib_shuffle():
             rng, reference = random.Random(seed), random.Random(seed)
             order = list(range(n))
             reference.shuffle(order)
-            assert listener_order(n, "sweep", rng) == order
+            assert listener_order(n, rng) == order
             assert rng.getstate() == reference.getstate()
 
 
@@ -419,7 +414,7 @@ def test_evaluation_pass_grows_connected_nodes_only():
     g = build_graph(3, [(0, 1)])
     mems = init_memories(g)
     rng = random.Random(5)
-    evaluation_pass(g.adjacency, mems, PartnerTops({}, mems), rng, "sweep")
+    evaluation_pass(g.adjacency, mems, PartnerTops({}, mems), rng)
     assert mems[0].total == 2
     assert mems[1].total == 2
     assert mems[2].total == 1
@@ -433,7 +428,7 @@ def test_memory_totals_after_t_passes():
     t = 13
     partner_tops = PartnerTops({}, mems)
     for _ in range(t):
-        evaluation_pass(g.adjacency, mems, partner_tops, rng, "sweep")
+        evaluation_pass(g.adjacency, mems, partner_tops, rng)
     assert all(m.total == 1 + t for m in mems)
 
 
@@ -488,8 +483,6 @@ def test_params_validation():
         SlpaParams(iterations=0)
     with pytest.raises(ValueError):
         SlpaParams(threshold=-0.1)
-    with pytest.raises(ValueError):
-        SlpaParams(listener_schedule="zigzag")
 
 
 def test_run_is_deterministic_for_fixed_seed():
