@@ -9,10 +9,12 @@ Subcommands:
   gen-planted         synthetic overlapping-community fixture
   winloss             pairwise win-loss table from a sweep CSV
 
-Most flags can also be given in a config file (--config): one `key = value`
-per line, '#' comments, keys matching the long flag names with '-' or '_'.
-Command line flags override config values. A key that is the long flag of no
-subcommand is an error; one file may carry the keys of several subcommands.
+The experiment flags can also be given in a config file (--config): one
+`key = value` per line, '#' comments, keys matching the long flag names with
+'-' or '_'. Command line flags override config values. Output paths,
+--no-timing, --net and --config are flags only; a key that no subcommand
+reads from a config file is an error. One file may carry the keys of several
+subcommands.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ logger = logging.getLogger(__name__)
 # The defaults of every experiment flag: a dataclass keeps each field's
 # default value as a class attribute.
 DEFAULTS = ExperimentConfig
+
+# The keys a config file may set: those some subcommand reads through
+# resolve(). Output paths, --no-timing, --net and --config are flags only.
+CONFIG_KEYS = frozenset({"edges", "truth", "algo", "budget_pct", "T", "r", "runs", "seed",
+                         "min_comm_size", "universe", "init_fraction", "repair_every"})
 
 
 def load_config(path) -> dict[str, str]:
@@ -89,25 +96,14 @@ def resolve(args, config: dict[str, str], key: str, default, cast):
     return default
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """The keys a config file may set: the long flags of every subcommand,
-    in the underscore form that load_config gives keys."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {flag[2:].replace("-", "_")
-            for sub in subparsers.choices.values() for action in sub._actions
-            if not isinstance(action, argparse._HelpAction)
-            for flag in action.option_strings if flag.startswith("--")}
-
-
 def _load_effective_config(args) -> dict[str, str]:
     path = getattr(args, "config", None)
     if not path:
         return {}
     config = load_config(path)
-    unknown = sorted(config.keys() - _config_keys(build_parser()))
+    unknown = sorted(config.keys() - CONFIG_KEYS)
     if unknown:
-        raise ValueError(f"{path}: no subcommand has a flag for config key(s) "
-                         f"{', '.join(unknown)}")
+        raise ValueError(f"{path}: no subcommand reads config key(s) {', '.join(unknown)}")
     return config
 
 

@@ -1,6 +1,6 @@
 """Pairwise-constrained speaker-listener label propagation.
 
-Constraints act at five points. Listening and repair read each node's top
+Constraints act at four points. Listening and repair read each node's top
 label, `memory.top`, which its LabelMemory keeps current:
 
 * initialization: must-link pairs exchange labels;
@@ -10,20 +10,18 @@ label, `memory.top`, which its LabelMemory keeps current:
   label of one of its cannot-link partners. A PartnerTops index, built once
   per run after initialization, holds each constrained node's multiset of
   partners' tops, so the check is one lookup; the pass and every repair step
-  that moves a constrained node's top (must-link transfers, cannot-link
-  deletions, label merges) update it; must-link repair reads it too, and the
-  label merge finds its separations in it;
+  that moves a constrained node's top (cannot-link deletions, label merges)
+  update it; must-link repair reads it too, and the label merge finds its
+  separations in it;
 * repair, after every `repair_every`-th pass and after the last: top labels
   that a must-link pair joins and no cannot-link pair separates merge into
-  one; in each must-link pair whose tops still differ, one endpoint gains
-  the partner's top label, tied with its own top, which it takes over only
-  when it has the lower id; labels shared across a cannot-link pair are
-  stripped from one side;
-* post-processing: a constrained node left only in orphan communities (of
-  ORPHAN_SIZE nodes or fewer) joins the community most common among its
-  speakers that holds none of its cannot-link partners.
+  one; in each must-link pair whose tops still differ, one endpoint is
+  granted the partner's top label as a second membership, at the highest
+  count that keeps its own top; labels shared across a cannot-link pair are
+  stripped from one side.
 
-With an empty constraint store every step reduces exactly to the
+The cover then comes from the same post-processing as the unsupervised
+algorithm. With an empty constraint store every step reduces exactly to the
 unsupervised algorithm, including the random stream it consumes.
 """
 
@@ -37,8 +35,6 @@ from .graph import Cover, Graph
 from .slpa import LabelMemory, PartnerTops, SlpaParams, post_process
 from .slpa import evaluation_pass as constrained_evaluation_pass
 
-# Communities of this many nodes or fewer are orphan communities.
-ORPHAN_SIZE = 2
 DEFAULT_REPAIR_EVERY = 5
 
 
@@ -172,35 +168,22 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     return report
 
 
-def _transfer(memories: list[LabelMemory], receiver: int, label: int,
-              gained: set[int], partner_tops: PartnerTops) -> None:
-    """Raise `label` at `receiver` to its maximum count, so it ties for top."""
-    memory = memories[receiver]
-    counts, top = memory.counts, memory.top
-    if label not in counts:
-        gained.add(receiver)
-    memory.add(label, counts[top] - counts.get(label, 0))
-    if memory.top != top:
-        partner_tops.moved(receiver, top, memory.top)
-
-
 def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
                      report: RepairReport, gained: set[int],
                      partner_tops: PartnerTops) -> RepairReport:
-    """Give one endpoint of each must-link pair of ml_pairs whose top labels
-    differ, in order, the partner's top label, tied with its own top.
+    """Grant one endpoint of each must-link pair of ml_pairs whose top labels
+    differ, in order, the partner's top label as a membership.
 
-    For a pair whose top labels differ, the node whose top holds the smaller
-    share of its memory (the lower id on a tie) receives the partner's top
-    label, raised to its own current maximum count so that it ties for top.
-    A tie keeps the lower id on top, so the receiver's top moves only when
-    the received label has the lower id; otherwise the pair's tops differ.
-    The partner receives instead only if that transfer is blocked: a transfer
-    to a node is blocked when one of that node's cannot-link partners tops on
-    the label, which partner_tops answers by lookup and transfers keep
-    current.
+    The node whose top holds the smaller share of its memory (the lower id on
+    a tie) receives the partner's top label, raised to the highest count that
+    keeps its own top: its top's count, less one when the granted label has
+    the lower id and would take a tie. So no top moves, and a receiver whose
+    top has count 1 gets no occurrence of a lower label. The partner
+    receives instead only if that grant is blocked: a grant to a node is
+    blocked when one of that node's cannot-link partners tops on the label,
+    which partner_tops answers by lookup.
 
-    gained: collects the nodes that receive a label they did not hold."""
+    gained: collects the nodes that now hold a label they did not hold."""
     for u, v in ml_pairs:
         mu, mv = memories[u], memories[v]
         top_u, top_v = mu.top, mv.top
@@ -214,9 +197,14 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
         for receiver, label in order:
             if partner_tops.blocks(receiver, label):
                 report.ml_blocked_transfers += 1
-            else:
-                _transfer(memories, receiver, label, gained, partner_tops)
-                break
+                continue
+            memory = memories[receiver]
+            counts, top = memory.counts, memory.top
+            grant = counts[top] - (label < top) - counts.get(label, 0)
+            if grant and label not in counts:
+                gained.add(receiver)
+            memory.add(label, grant)
+            break
     return report
 
 
@@ -270,56 +258,15 @@ def repair_cannot_link(memories: list[LabelMemory], partner_tops: PartnerTops,
     return report
 
 
-def place_orphans(cover: Cover, store: ConstraintStore, speakers: list[list[int]]) -> Cover:
-    """Move constrained nodes out of orphan communities.
-
-    Each node with a constraint, in id order, leaves its orphan communities
-    (ORPHAN_SIZE nodes or fewer). A node that would be left in no community
-    joins instead the non-orphan community most common among its speakers,
-    the earliest on a tie, that holds none of its cannot-link partners; with
-    no such community it keeps its memberships. Nodes without constraints are
-    untouched, so an empty store changes nothing."""
-    communities = [set(c) for c in cover.communities]
-    orphan = [len(c) <= ORPHAN_SIZE for c in communities]
-    if not any(orphan):
-        return cover
-    membership: dict[int, list[int]] = {}
-    for k, community in enumerate(communities):
-        for v in community:
-            membership.setdefault(v, []).append(k)
-    cl_partners = store._cl_partners
-    for v in sorted(set(store._ml_partners) | set(cl_partners)):
-        current = membership.get(v, [])
-        if not any(orphan[k] for k in current):
-            continue
-        keep = [k for k in current if not orphan[k]]
-        if not keep:
-            blocked = {k for p in cl_partners.get(v, ()) for k in membership.get(p, ())}
-            votes: dict[int, int] = {}
-            for u in speakers[v]:
-                for k in membership.get(u, ()):
-                    if not orphan[k] and k not in blocked:
-                        votes[k] = votes.get(k, 0) + 1
-            if not votes:
-                continue
-            best = max(votes.values())
-            keep = [min(k for k, count in votes.items() if count == best)]
-        for k in current:
-            communities[k].discard(v)
-        for k in keep:
-            communities[k].add(v)
-        membership[v] = keep
-    return Cover(c for c in communities if c)
-
-
 def run_pcslpa_report(g: Graph, store: ConstraintStore,
                       params: PcSlpaParams) -> tuple[Cover, RepairReport]:
     """Constrained pipeline returning the cover plus repair counters.
 
     init → `iterations` constrained passes, repairing after every
     `repair_every`-th pass and after the last (merge linked labels, one-way
-    must-link repair, cannot-link repair) → shared post-processing → orphan
-    placement. Deterministic for fixed inputs and seed."""
+    must-link grants, cannot-link repair) → the post-processing that the
+    unsupervised algorithm ends in. Deterministic for fixed inputs and
+    seed."""
     base = params.base
     rng = random.Random(base.seed)
     memories = init_constrained(g, store)
@@ -335,7 +282,7 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         nonlocal widths
         # Passes only add labels, and a repair leaves every cannot-link pair
         # disjoint (guard cases aside), so a pair can only share a label again
-        # once an endpoint gains one: the width test, merges and transfers.
+        # once an endpoint gains one: the width test, merges and grants.
         gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
         merge_linked_labels(memories, store, report, gained, partner_tops)
         repair_must_link(memories, ml_pairs, report, gained, partner_tops)
@@ -353,4 +300,4 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         final = i == base.iterations
         if final or i % params.repair_every == 0:
             repair(final)
-    return place_orphans(post_process(memories, base.threshold), store, speakers), report
+    return post_process(memories, base.threshold), report

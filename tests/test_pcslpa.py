@@ -22,7 +22,6 @@ from pcslpa.constrained import (
     constrained_speaker_set,
     init_constrained,
     merge_linked_labels,
-    place_orphans,
     repair_cannot_link,
     repair_must_link,
     run_pcslpa_report,
@@ -34,7 +33,7 @@ from pcslpa.constraints import (
     canonical_pair,
     select_constraints,
 )
-from pcslpa.graph import Cover, build_graph
+from pcslpa.graph import build_graph
 from pcslpa.planted import gen_planted_overlap
 from pcslpa.slpa import (
     LabelMemory,
@@ -226,12 +225,18 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed):
             constrained_evaluation_pass(speakers, mems, index, rng)
             assert index.blocked == recount_partner_tops(mems, store)
         report, gained = RepairReport(), set()
+
+        def ml_repair_keeps_every_top() -> None:
+            tops = [m.top for m in mems]
+            repair_must_link(mems, sorted(store.ml), report, gained, index)
+            assert [m.top for m in mems] == tops
+
         # also before a merge, which otherwise aligns most must-link tops
-        repair_must_link(mems, sorted(store.ml), report, gained, index)
+        ml_repair_keeps_every_top()
         assert index.blocked == recount_partner_tops(mems, store)
         merge_linked_labels(mems, store, report, gained, index)
         assert index.blocked == recount_partner_tops(mems, store)
-        repair_must_link(mems, sorted(store.ml), report, gained, index)
+        ml_repair_keeps_every_top()
         assert index.blocked == recount_partner_tops(mems, store)
         repair_cannot_link(mems, index, rng, report, sorted(store.cl), speakers)
         assert index.blocked == recount_partner_tops(mems, store)
@@ -264,13 +269,21 @@ def test_merge_is_vetoed_by_a_separating_cannot_link():
 def test_ml_repair_one_way_gives_the_weaker_side_the_partner_top():
     store = ConstraintStore()
     store.add_must_link(0, 1)
-    # node 1's top holds half its memory, node 0's top five sixths
-    mems = [mem({100: 5, 101: 1}), mem({102: 2, 103: 2})]
-    report = ml_repair(mems, store)
-    assert mems[0].counts == {100: 5, 101: 1}
-    assert mems[1].counts == {102: 2, 103: 2, 100: 2}
-    assert report.ml_exchanges == 1
-    assert report.ml_blocked_transfers == 0
+    # node 1's top holds half its memory, node 0's top five sixths; label 100
+    # has the lower id, so it stops one short of a tie with node 1's top, and
+    # against a top of count 1 nothing is granted
+    for weaker, granted, joins in (({102: 2, 103: 2}, {102: 2, 103: 2, 100: 1}, {1}),
+                                   ({102: 1, 103: 1}, {102: 1, 103: 1}, set())):
+        mems = [mem({100: 5, 101: 1}), mem(weaker)]
+        gained = set()
+        report = repair_must_link(mems, sorted(store.ml), RepairReport(), gained,
+                                  partner_tops(mems, store))
+        assert mems[0].counts == {100: 5, 101: 1}
+        assert mems[1].counts == granted
+        assert mems[1].top == 102
+        assert gained == joins
+        assert report.ml_exchanges == 1
+        assert report.ml_blocked_transfers == 0
 
 
 def test_ml_repair_one_way_falls_back_to_the_other_side_when_blocked():
@@ -308,37 +321,6 @@ def test_cl_repair_checks_only_the_given_pairs():
     assert report.cl_deletions == 1
     assert 100 not in mems[1].counts
     assert 200 in mems[2].counts and 200 in mems[3].counts
-
-
-def test_orphan_placement_avoids_cannot_link_partners():
-    store = ConstraintStore()
-    store.add_cannot_link(6, 0)
-    store.add_must_link(7, 1)
-    cover = Cover([{0, 1, 2}, {3, 4, 5}, {6}, {7}, {8}])
-    speakers = [[]] * 6 + [[0, 1, 3], [1, 3], [0]]
-    placed = place_orphans(cover, store, speakers)
-    # 6 would follow its speakers 0 and 1, but 0 is its cannot-link partner;
-    # 7 ties between both communities and takes the earlier one; 8 has no
-    # constraint and keeps its orphan community
-    assert set(placed.communities) == {frozenset({0, 1, 2, 7}), frozenset({3, 4, 5, 6}),
-                                       frozenset({8})}
-
-
-def test_orphan_placement_never_uncovers_a_node():
-    store = ConstraintStore()
-    store.add_cannot_link(6, 0)
-    store.add_cannot_link(6, 3)
-    cover = Cover([{0, 1, 2}, {3, 4, 5}, {6}])
-    speakers = [[]] * 6 + [[0, 3]]
-    placed = place_orphans(cover, store, speakers)
-    assert set(placed.communities) == set(cover.communities)
-    assert placed.nodes() == cover.nodes()
-
-
-def test_orphan_placement_is_a_no_op_on_an_empty_store():
-    cover = Cover([{0, 1, 2}, {3}, {4, 5}])
-    speakers = [[1], [0], [0], [0], [5], [4]]
-    assert place_orphans(cover, ConstraintStore(), speakers).communities == cover.communities
 
 
 def test_default_schedule_repairs_periodically():
