@@ -9,12 +9,11 @@ Subcommands:
   gen-planted         synthetic overlapping-community fixture
   winloss             pairwise win-loss table from a sweep CSV
 
-The experiment flags can also be given in a config file (--config): one
-`key = value` per line, '#' comments, keys matching the long flag names with
-'-' or '_'. Command line flags override config values. Output paths,
---no-timing, --net and --config are flags only; a key that no subcommand
-reads from a config file is an error. One file may carry the keys of several
-subcommands.
+Any argument `@FILE` is replaced by the arguments written in FILE
+(argparse's argument files): whitespace-separated, '#' starts a comment that
+runs to the end of the line. A flag read from a file behaves exactly as on the
+command line, and a later flag overrides an earlier one, so
+`pcslpa run @exp.args --runs 3` takes everything from exp.args but the runs.
 """
 
 from __future__ import annotations
@@ -51,60 +50,12 @@ logger = logging.getLogger(__name__)
 # default value as a class attribute.
 DEFAULTS = ExperimentConfig
 
-# The keys a config file may set: those some subcommand reads through
-# resolve(). Output paths, --no-timing, --net and --config are flags only.
-CONFIG_KEYS = frozenset({"edges", "truth", "algo", "budget_pct", "T", "r", "runs", "seed",
-                         "min_comm_size", "universe", "init_fraction", "repair_every"})
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Splits each line of an argument file on whitespace; '#' starts a comment."""
 
-def load_config(path) -> dict[str, str]:
-    """Parse `key = value` lines; keys normalized to underscore form."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ParseError(f"expected 'key = value', got {line!r}", line_no)
-                key, value = parts
-            key = key.strip().lstrip("-").replace("-", "_")
-            if not key:
-                raise ParseError(f"empty key in {line!r}", line_no)
-            out[key] = value.strip()
-    return out
-
-
-def _parse_pct_list(text: str) -> list[float]:
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("empty budget list")
-    return [float(t) for t in tokens]
-
-
-def resolve(args, config: dict[str, str], key: str, default, cast):
-    """Flag value if given, else config value, else the default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _load_effective_config(args) -> dict[str, str]:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    config = load_config(path)
-    unknown = sorted(config.keys() - CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: no subcommand reads config key(s) {', '.join(unknown)}")
-    return config
+    def convert_arg_line_to_args(self, arg_line):
+        return arg_line.split("#", 1)[0].split()
 
 
 def _write_output(out, text: str) -> None:
@@ -116,61 +67,48 @@ def _write_output(out, text: str) -> None:
 
 
 def _add_common_experiment_flags(p) -> None:
-    p.add_argument("--T", type=int, default=None,
-                   help=f"label propagation passes (default {DEFAULTS.iterations})")
-    p.add_argument("--r", type=float, default=None,
-                   help=f"membership probability threshold (default {DEFAULTS.threshold})")
-    p.add_argument("--runs", type=int, default=None,
-                   help=f"independent runs per cell (default {DEFAULTS.runs})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"base seed, per-run seeds derived from it (default {DEFAULTS.seed})")
-    p.add_argument("--universe", choices=UNIVERSES, default=None,
-                   help=f"node universe for scoring (default {DEFAULTS.universe})")
-    p.add_argument("--min-comm-size", type=int, default=None,
-                   help="drop ground-truth communities below this size "
-                        f"(default {DEFAULTS.min_comm_size})")
-    p.add_argument("--init-fraction", type=float, default=None,
+    p.add_argument("--T", type=int, default=DEFAULTS.iterations,
+                   help="label propagation passes (default %(default)s)")
+    p.add_argument("--r", type=float, default=DEFAULTS.threshold,
+                   help="membership probability threshold (default %(default)s)")
+    p.add_argument("--runs", type=int, default=DEFAULTS.runs,
+                   help="independent runs per cell (default %(default)s)")
+    p.add_argument("--seed", type=int, default=DEFAULTS.seed,
+                   help="base seed, per-run seeds derived from it (default %(default)s)")
+    p.add_argument("--universe", choices=UNIVERSES, default=DEFAULTS.universe,
+                   help="node universe for scoring (default %(default)s)")
+    p.add_argument("--min-comm-size", type=int, default=DEFAULTS.min_comm_size,
+                   help="drop ground-truth communities below this size (default %(default)s)")
+    p.add_argument("--init-fraction", type=float, default=DEFAULTS.init_fraction,
                    help="fraction of the budget spent per random seeding round "
-                        f"(default {DEFAULTS.init_fraction})")
-    p.add_argument("--repair-every", type=int, default=None,
+                        "(default %(default)s)")
+    p.add_argument("--repair-every", type=int, default=DEFAULTS.repair_every,
                    help="repair constraints after every k-th pass and after the last; "
-                        f"k >= T repairs once (default {DEFAULTS.repair_every})")
-    p.add_argument("--config", default=None, help="key = value config file")
+                        "k >= T repairs once (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _experiment_config(args, config, edges, truth, algo, pcts, network_id="") -> ExperimentConfig:
+def _experiment_config(args, edges, truth, algo, pcts, network_id="") -> ExperimentConfig:
     return ExperimentConfig(
         edges=Path(edges),
         truth=Path(truth),
         algorithm=algo,
         budget_pcts=tuple(pcts),
-        iterations=resolve(args, config, "T", DEFAULTS.iterations, int),
-        threshold=resolve(args, config, "r", DEFAULTS.threshold, float),
-        runs=resolve(args, config, "runs", DEFAULTS.runs, int),
-        seed=resolve(args, config, "seed", DEFAULTS.seed, int),
-        min_comm_size=resolve(args, config, "min_comm_size", DEFAULTS.min_comm_size, int),
-        universe=resolve(args, config, "universe", DEFAULTS.universe, str),
-        init_fraction=resolve(args, config, "init_fraction", DEFAULTS.init_fraction, float),
-        repair_every=resolve(args, config, "repair_every", DEFAULTS.repair_every, int),
+        iterations=args.T,
+        threshold=args.r,
+        runs=args.runs,
+        seed=args.seed,
+        min_comm_size=args.min_comm_size,
+        universe=args.universe,
+        init_fraction=args.init_fraction,
+        repair_every=args.repair_every,
         network_id=network_id,
     )
 
 
-def _resolved_pcts(args, config) -> list[float]:
-    return resolve(args, config, "budget_pct", [], _parse_pct_list)
-
-
 def cmd_run(args) -> int:
-    config = _load_effective_config(args)
-    edges = resolve(args, config, "edges", None, str)
-    truth = resolve(args, config, "truth", None, str)
-    if edges is None or truth is None:
-        raise ValueError("run needs --edges and --truth (flag or config)")
-    algo = resolve(args, config, "algo", ALGO_SLPA, str)
-    pcts = _resolved_pcts(args, config)
-    cfg = _experiment_config(args, config, edges, truth, algo, pcts)
-    results = run_experiment(cfg)
+    results = run_experiment(_experiment_config(
+        args, args.edges, args.truth, args.algo, args.budget_pct))
     for s in summarize(results):
         logger.info("%s %s pct=%g mean_nmi=%.4f std=%.4f over %d runs",
                     s.network, s.algo, s.pct, s.mean_nmi, s.std_nmi, s.runs)
@@ -179,22 +117,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_effective_config(args)
-    nets = args.net or []
+    nets = args.net
     if not nets:
-        edges = resolve(args, config, "edges", None, str)
-        truth = resolve(args, config, "truth", None, str)
-        if edges is None or truth is None:
+        if args.edges is None or args.truth is None:
             raise ValueError("sweep needs --net NAME EDGES TRUTH (or --edges/--truth)")
-        nets = [[Path(edges).stem, edges, truth]]
-    pcts = _resolved_pcts(args, config)
+        nets = [[Path(args.edges).stem, args.edges, args.truth]]
     results = []
     for name, edges, truth in nets:
         results += run_experiment(_experiment_config(
-            args, config, edges, truth, ALGO_SLPA, [], network_id=name))
-        if pcts:
+            args, edges, truth, ALGO_SLPA, [], network_id=name))
+        if args.budget_pct:
             results += run_experiment(_experiment_config(
-                args, config, edges, truth, ALGO_PCSLPA, pcts, network_id=name))
+                args, edges, truth, ALGO_PCSLPA, args.budget_pct, network_id=name))
     _write_output(args.out, sweep_report(results))
     if args.raw_out:
         Path(args.raw_out).write_text(
@@ -218,48 +152,30 @@ def _cover_id_map(paths) -> IdMap:
 
 
 def cmd_nmi(args) -> int:
-    config = _load_effective_config(args)
-    truth_path = resolve(args, config, "truth", None, str)
-    if truth_path is None:
-        raise ValueError("nmi needs --truth")
-    edges = resolve(args, config, "edges", None, str)
-    universe_mode = resolve(args, config, "universe", DEFAULTS.universe, str)
-    if universe_mode not in UNIVERSES:
-        raise ValueError(f"unknown universe mode {universe_mode!r}")
-    min_size = resolve(args, config, "min_comm_size", DEFAULTS.min_comm_size, int)
-    if edges is not None:
-        g = load_edge_list(edges)
+    if args.edges is not None:
+        g = load_edge_list(args.edges)
         id_map = g.ids
     else:
-        if universe_mode == "all":
+        if args.universe == "all":
             raise ValueError("--universe all needs --edges for the node universe")
         g = None
-        id_map = _cover_id_map([truth_path, args.cover])
-    truth = load_cover(truth_path, id_map, min_size=min_size)
+        id_map = _cover_id_map([args.truth, args.cover])
+    truth = load_cover(args.truth, id_map, min_size=args.min_comm_size)
     detected = load_cover(args.cover, id_map, min_size=1)
-    universe = truth.nodes() if universe_mode == "covered" else set(range(g.n))
+    universe = truth.nodes() if args.universe == "covered" else set(range(g.n))
     score = overlapping_nmi(truth, detected, universe)
     print(f"{score:.6f}")
     return 0
 
 
 def cmd_select_constraints(args) -> int:
-    config = _load_effective_config(args)
-    edges = resolve(args, config, "edges", None, str)
-    truth_path = resolve(args, config, "truth", None, str)
-    if edges is None or truth_path is None:
-        raise ValueError("select-constraints needs --edges and --truth")
-    pcts = _resolved_pcts(args, config)
-    if len(pcts) != 1:
+    if len(args.budget_pct) != 1:
         raise ValueError("select-constraints needs exactly one --budget-pct")
-    g = load_edge_list(edges)
-    min_size = resolve(args, config, "min_comm_size", DEFAULTS.min_comm_size, int)
-    truth = load_cover(truth_path, g.ids, min_size=min_size)
-    budget = Budget.from_fraction(pcts[0], len(truth.nodes()))
-    seed = resolve(args, config, "seed", DEFAULTS.seed, int)
-    rng = random.Random(mix_seed(seed, "select"))
-    init_fraction = resolve(args, config, "init_fraction", DEFAULTS.init_fraction, float)
-    store = select_constraints(g, GroundTruthOracle(truth), budget, init_fraction, rng)
+    g = load_edge_list(args.edges)
+    truth = load_cover(args.truth, g.ids, min_size=args.min_comm_size)
+    budget = Budget.from_fraction(args.budget_pct[0], len(truth.nodes()))
+    rng = random.Random(mix_seed(args.seed, "select"))
+    store = select_constraints(g, GroundTruthOracle(truth), budget, args.init_fraction, rng)
     logger.info("selected %d constraints with %d queries (budget %d)",
                 len(store), store.queries_used, budget.max_queries)
     buf = io.StringIO()
@@ -322,20 +238,25 @@ def cmd_winloss(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pcslpa",
         description="Overlapping community detection by label propagation, "
-                    "with optional pairwise constraints from a ground-truth oracle.",
+                    "with optional pairwise constraints from a ground-truth oracle. "
+                    "An argument @FILE is replaced by the whitespace-separated "
+                    "arguments in FILE ('#' starts a comment); a later flag "
+                    "overrides the file's value.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="info logging to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run one algorithm on one network")
-    p.add_argument("--edges", default=None, help="edge list file, 'u v' per line")
-    p.add_argument("--truth", default=None, help="ground-truth cover, one community per line")
-    p.add_argument("--algo", choices=(ALGO_SLPA, ALGO_PCSLPA), default=None,
-                   help="algorithm (default slpa)")
-    p.add_argument("--budget-pct", action="append", type=float, default=None,
+    p.add_argument("--edges", required=True, help="edge list file, 'u v' per line")
+    p.add_argument("--truth", required=True,
+                   help="ground-truth cover, one community per line")
+    p.add_argument("--algo", choices=(ALGO_SLPA, ALGO_PCSLPA), default=DEFAULTS.algorithm,
+                   help="algorithm (default %(default)s)")
+    p.add_argument("--budget-pct", action="append", type=float, default=[],
                    help="constraint budget as a fraction of all node pairs; repeatable")
     p.add_argument("--no-timing", action="store_true",
                    help="omit the ms column for byte-stable output")
@@ -347,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="named network; repeatable")
     p.add_argument("--edges", default=None, help="single-network edge list")
     p.add_argument("--truth", default=None, help="single-network ground truth")
-    p.add_argument("--budget-pct", action="append", type=float, default=None,
+    p.add_argument("--budget-pct", action="append", type=float, default=[],
                    help="budget fraction; repeatable")
     p.add_argument("--raw-out", default=None, help="also write per-run results here")
     p.add_argument("--no-timing", action="store_true",
@@ -357,33 +278,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nmi", help="overlap-aware NMI of a cover against a reference")
     p.add_argument("cover", help="detected cover file")
-    p.add_argument("--truth", default=None, help="reference cover file")
+    p.add_argument("--truth", required=True, help="reference cover file")
     p.add_argument("--edges", default=None,
                    help="edge list; required for --universe all, otherwise optional")
-    p.add_argument("--universe", choices=UNIVERSES, default=None,
-                   help=f"scoring universe (default {DEFAULTS.universe}: "
-                        "reference cover's nodes)")
-    p.add_argument("--min-comm-size", type=int, default=None,
-                   help="drop reference communities below this size "
-                        f"(default {DEFAULTS.min_comm_size})")
-    p.add_argument("--config", default=None, help="key = value config file")
+    p.add_argument("--universe", choices=UNIVERSES, default=DEFAULTS.universe,
+                   help="scoring universe (default %(default)s: reference cover's nodes)")
+    p.add_argument("--min-comm-size", type=int, default=DEFAULTS.min_comm_size,
+                   help="drop reference communities below this size (default %(default)s)")
     p.set_defaults(func=cmd_nmi)
 
     p = sub.add_parser("select-constraints", help="query the oracle, save the constraint file")
-    p.add_argument("--edges", default=None, help="edge list file, 'u v' per line")
-    p.add_argument("--truth", default=None,
+    p.add_argument("--edges", required=True, help="edge list file, 'u v' per line")
+    p.add_argument("--truth", required=True,
                    help="ground-truth cover that answers the queries, one community per line")
-    p.add_argument("--budget-pct", action="append", type=float, default=None,
+    p.add_argument("--budget-pct", action="append", type=float, required=True,
                    help="query budget as a fraction of all node pairs; give exactly one")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"seed of the query order (default {DEFAULTS.seed})")
-    p.add_argument("--init-fraction", type=float, default=None,
+    p.add_argument("--seed", type=int, default=DEFAULTS.seed,
+                   help="seed of the query order (default %(default)s)")
+    p.add_argument("--init-fraction", type=float, default=DEFAULTS.init_fraction,
                    help="fraction of the budget spent per random seeding round "
-                        f"(default {DEFAULTS.init_fraction})")
-    p.add_argument("--min-comm-size", type=int, default=None,
-                   help="drop ground-truth communities below this size "
-                        f"(default {DEFAULTS.min_comm_size})")
-    p.add_argument("--config", default=None, help="key = value config file")
+                        "(default %(default)s)")
+    p.add_argument("--min-comm-size", type=int, default=DEFAULTS.min_comm_size,
+                   help="drop ground-truth communities below this size (default %(default)s)")
     p.add_argument("--out", default=None,
                    help="constraint file, 'u v ML|CL' per line (default stdout)")
     p.set_defaults(func=cmd_select_constraints)

@@ -57,7 +57,13 @@ class PcSlpaParams:
 
 @dataclass
 class RepairReport:
-    """Counters from the constraint-processing step, summed over repair runs."""
+    """Counters from the constraint-processing step, summed over repair runs.
+
+    ml_exchanges counts the must-link grants that added at least one
+    occurrence of the partner's top; a grant of zero, to a receiver that
+    cannot hold more of the label without moving its own top, is not
+    counted. ml_blocked_transfers counts the grants refused because a
+    cannot-link partner of the receiver tops on the label."""
 
     ml_exchanges: int = 0
     ml_blocked_transfers: int = 0
@@ -189,7 +195,6 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
         top_u, top_v = mu.top, mv.top
         if top_u == top_v:
             continue
-        report.ml_exchanges += 1
         if mu.counts[top_u] * mv.total <= mv.counts[top_v] * mu.total:
             order = ((u, top_v), (v, top_u))
         else:
@@ -201,9 +206,11 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
             memory = memories[receiver]
             counts, top = memory.counts, memory.top
             grant = counts[top] - (label < top) - counts.get(label, 0)
-            if grant and label not in counts:
-                gained.add(receiver)
-            memory.add(label, grant)
+            if grant:
+                report.ml_exchanges += 1
+                if label not in counts:
+                    gained.add(receiver)
+                memory.add(label, grant)
             break
     return report
 

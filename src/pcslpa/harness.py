@@ -40,8 +40,8 @@ class ExperimentConfig:
     truth: Path
     algorithm: str = ALGO_SLPA
     budget_pcts: tuple[float, ...] = ()
-    iterations: int = 100
-    threshold: float = 0.1
+    iterations: int = SlpaParams.iterations
+    threshold: float = SlpaParams.threshold
     runs: int = 20
     seed: int = 12345
     min_comm_size: int = 1

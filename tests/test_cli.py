@@ -6,7 +6,7 @@ import argparse
 
 import pytest
 
-from pcslpa.cli import ParseError, build_parser, load_config, main
+from pcslpa.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -78,15 +78,15 @@ def test_nmi_merged_cover_scores_half(planted, tmp_path, capsys):
 @pytest.mark.parametrize("with_edges", [False, True])
 def test_nmi_rejects_an_unknown_universe_from_config(planted, tmp_path, capsys, with_edges):
     edges, truth = planted
-    cfg = tmp_path / "nmi.cfg"
-    cfg.write_text("universe = half\n")
-    argv = ["nmi", str(truth), "--truth", str(truth), "--config", str(cfg)]
+    args = tmp_path / "nmi.args"
+    args.write_text("--universe half\n")
+    argv = ["nmi", str(truth), "--truth", str(truth), f"@{args}"]
     if with_edges:
         argv += ["--edges", str(edges)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: unknown universe mode 'half'" in captured.err
+    assert "argument --universe: invalid choice: 'half'" in captured.err
 
 
 def test_select_constraints_round_trips(planted, tmp_path):
@@ -149,65 +149,50 @@ def test_filter_truth_subcommand(tmp_path):
 
 def test_config_file_supplies_defaults_and_flags_override(planted, tmp_path):
     edges, truth = planted
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("# experiment defaults\nT = 10\nruns = 2\nseed = 4\n")
+    args = tmp_path / "exp.args"
+    args.write_text("# experiment defaults\n\n--T 10   # passes\n--runs 2\n--seed 4\n")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    inputs = ["--edges", str(edges), "--truth", str(truth), "--no-timing"]
+    assert main(["run", *inputs, f"@{args}", "--runs", "3", "--out", str(from_file)]) == 0
+    assert main(["run", *inputs, "--T", "10", "--runs", "3", "--seed", "4",
+                 "--out", str(from_flags)]) == 0
+    # the file's runs=2 is overridden by the later flag; T=10 and seed=4 apply
+    assert len(from_file.read_text().splitlines()) == 4
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+def test_argument_file_output_flags_take_effect(planted, tmp_path):
+    edges, truth = planted
     out = tmp_path / "r.csv"
-    rc = main(["run", "--edges", str(edges), "--truth", str(truth),
-               "--config", str(cfg), "--runs", "3", "--out", str(out)])
-    assert rc == 0
-    # config runs=2 is overridden by the flag; T=10 and seed=4 apply
-    assert len(out.read_text().splitlines()) == 4
+    args = tmp_path / "exp.args"
+    args.write_text(f"--T 10 --runs 2\n--out {out}\n--no-timing\n")
+    assert main(["run", "--edges", str(edges), "--truth", str(truth), f"@{args}"]) == 0
+    assert out.read_text().splitlines()[0].startswith("network,algo,pct,seed,nmi,ml_exchanges,")
 
 
-# the last five are flags only: a config file that sets them would be ignored
-@pytest.mark.parametrize("key", ["repair_evry", "verbose", "help",
-                                 "out", "no_timing", "raw_out", "net", "config"])
+# a typo, the retired config-file option, two flags of sweep and one of the top level
+@pytest.mark.parametrize("key", ["repair_evry", "config", "raw_out", "net", "verbose"])
 def test_config_key_that_no_flag_reads_is_an_error(planted, tmp_path, capsys, key):
     edges, truth = planted
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"T = 10\n{key} = 2\n")
+    flag = "--" + key.replace("_", "-")
+    args = tmp_path / "exp.args"
+    args.write_text(f"--T 10\n{flag} x\n")
     rc = main(["run", "--edges", str(edges), "--truth", str(truth),
-               "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+               f"@{args}", "--out", str(tmp_path / "r.csv")])
     assert rc == 2
-    assert capsys.readouterr().err.rstrip().endswith(f"config key(s) {key}")
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
-
-
-def test_config_keys_of_other_subcommands_are_accepted(planted, tmp_path, capsys):
-    # one file for run, sweep and nmi: nmi reads only truth and universe
-    edges, truth = planted
-    cfg = tmp_path / "shared.cfg"
-    cfg.write_text(f"truth = {truth}\nuniverse = covered\nT = 10\nruns = 2\n"
-                   "repair_every = 3\nbudget_pct = 0.05\n")
-    assert main(["nmi", str(truth), "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out.strip() == "1.000000"
-    out = tmp_path / "r.csv"
-    assert main(["run", "--edges", str(edges), "--config", str(cfg), "--algo", "pcslpa",
-                 "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 3
-
-
-def test_load_config_parses_both_separator_styles(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("a = 1\nb 2\n--dashed-key = 3\n# comment\n\n")
-    parsed = load_config(cfg)
-    assert parsed == {"a": "1", "b": "2", "dashed_key": "3"}
-
-
-def test_load_config_reports_bad_line(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("just-one-token\n")
-    with pytest.raises(ParseError):
-        load_config(cfg)
 
 
 def test_malformed_config_via_cli_returns_error(planted, tmp_path):
     edges, truth = planted
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("oops\n")
-    rc = main(["run", "--edges", str(edges), "--truth", str(truth),
-               "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-    assert rc == 2
+    bad = tmp_path / "bad.args"
+    bad.write_text("oops\n")
+    for args in (bad, tmp_path / "missing.args"):
+        rc = main(["run", "--edges", str(edges), "--truth", str(truth),
+                   f"@{args}", "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_gen_planted_rejects_bad_parameters(tmp_path):

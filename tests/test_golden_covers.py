@@ -8,10 +8,11 @@ and of the report with the recorded digests. A change that moves one draw
 moves the covers that follow it, and with them an NMI or a repair counter in
 the CSV.
 
-The digests were last re-recorded when the constrained run lost its orphan
-placement and must-link repair became a grant that never moves a top. To
-re-record after a change that is meant to alter the covers, print
-`sweep_digest(...)` for every case and replace GOLDEN.
+The digests were last re-recorded when `ml_exchanges` stopped counting
+must-link pairs whose grant added nothing; the covers and every other column
+stayed as they were. To re-record after a change that is meant to alter the
+covers or the counters, print `sweep_digest(...)` for every case and replace
+GOLDEN.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ RUNS = 3
 
 # keyed by --repair-every
 GOLDEN = {
-    1: "38410bbde803733be4217ccecf62e417ca34ef22d409198b66a3ff0e86fa62a0",
-    2: "409f9d04468902d7d6aeb4f49c9883c7d83a69987ac70be2dea1bbaeffc395bc",
-    5: "c949a85aff51b6d3e46cf37b14e22c3f12c93b6a2be91aadda51898572abb8f3",
-    10: "58bee96563131d533eacab53170f14c486c917f55195b1cbd1d747ed08f492fc",
-    33: "22cf26c4072531708303fb3378cfbe40df729496a8c86694a71e6710fa0722d8",
-    100: "eede8d2ff0b4c8672d4bc2809ed592cf0e548c85cc6ba6474de70dc6c9301d47",
+    1: "ac87b6ac8044c464ebc2e9fce90cc441b4996a0a33c54c864a11129b87a1889f",
+    2: "96b508097d9ad0b976bcb4c5a96e897e6abf52689ca436244b7f3212186676e0",
+    5: "c382531f983abb7a97d816340b70f6fcb17560060bab71bbd9e1c203d93865d1",
+    10: "8161394c1d8866617e8ffe0068108c9240dd26999167847bece8297c527f71e0",
+    33: "2120b643cd123b5b7cd9d6fb6f808794589de1ffb359211b9146cfe1c7de06f5",
+    100: "30fae6d9c38898ae8ce436d9c36ff099002b1c3b3558c54a6bd3a7c55ce92326",
 }
 
 

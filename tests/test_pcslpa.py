@@ -271,9 +271,10 @@ def test_ml_repair_one_way_gives_the_weaker_side_the_partner_top():
     store.add_must_link(0, 1)
     # node 1's top holds half its memory, node 0's top five sixths; label 100
     # has the lower id, so it stops one short of a tie with node 1's top, and
-    # against a top of count 1 nothing is granted
-    for weaker, granted, joins in (({102: 2, 103: 2}, {102: 2, 103: 2, 100: 1}, {1}),
-                                   ({102: 1, 103: 1}, {102: 1, 103: 1}, set())):
+    # against a top of count 1 nothing is granted and no exchange is counted
+    for weaker, granted, joins, exchanges in (
+            ({102: 2, 103: 2}, {102: 2, 103: 2, 100: 1}, {1}, 1),
+            ({102: 1, 103: 1}, {102: 1, 103: 1}, set(), 0)):
         mems = [mem({100: 5, 101: 1}), mem(weaker)]
         gained = set()
         report = repair_must_link(mems, sorted(store.ml), RepairReport(), gained,
@@ -282,7 +283,7 @@ def test_ml_repair_one_way_gives_the_weaker_side_the_partner_top():
         assert mems[1].counts == granted
         assert mems[1].top == 102
         assert gained == joins
-        assert report.ml_exchanges == 1
+        assert report.ml_exchanges == exchanges
         assert report.ml_blocked_transfers == 0
 
 
