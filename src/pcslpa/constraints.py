@@ -3,9 +3,9 @@
 Selection interleaves random pair queries with forbidden-triad closure: once
 two must-link pairs (a,b) and (a,c) exist, the unresolved pair (b,c) is an
 open triad that must itself be put to the oracle, because must-link is not
-transitive when communities overlap. The store keeps the set of open pairs
-current as constraints are added, so a closure round reads it rather than
-rescanning every must-link hub.
+transitive when communities overlap. The store builds the set of open pairs
+when it is read, once per closure round, from the must-links stored since
+the previous read, rather than rescanning every must-link hub.
 
 Each round, random or closure, is stored through the store's one insertion
 path, `ConstraintStore.add_pairs`, in one call that asks the oracle about
@@ -19,10 +19,13 @@ from __future__ import annotations
 import enum
 import logging
 import random
+from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
+from operator import itemgetter
 
 from .graph import Cover, Graph, IdMap, ParseError, _iter_lines, _open_sink
 
@@ -48,20 +51,26 @@ class ConstraintStore:
     one oracle query against queries_used.
 
     add_pairs is the one insertion path: it stores a round of pairs in one
-    loop, and add(u, v, relation) is its one-pair call. open_pairs holds
-    every open triad's pair: (b,c) with a common must-link partner and no
-    stored relation. add_pairs keeps it current: storing a pair removes it,
-    and a must-link (a,b) opens (x,b) for each must-link partner x of a not
-    yet related to b, and (a,y) likewise for the partners of b.
+    loop, and add(u, v, relation) is its one-pair call. open_pairs is every
+    open triad's pair: (b,c) with a common must-link partner and no stored
+    relation. It is built when read, from the must-links stored since the
+    previous read: add_pairs only drops each stored pair from the set and
+    records each must-link (a,b) as a new hub b of a and a of b. A pair
+    becomes open only through a new must-link at one of its ends, so the
+    read pairs each node x that has new hubs with the must-link partners of
+    those hubs, less x and the nodes already related to x.
     """
 
     def __init__(self) -> None:
         self.ml: set[tuple[int, int]] = set()
         self.cl: set[tuple[int, int]] = set()
-        self.open_pairs: set[tuple[int, int]] = set()
         self.queries_used = 0
         self._ml_partners: dict[int, set[int]] = {}
         self._cl_partners: dict[int, set[int]] = {}
+        # open pairs as of the last read, less those stored since, and each
+        # node's must-link partners (its new hubs) added since
+        self._open: set[tuple[int, int]] = set()
+        self._new_hubs: defaultdict[int, list[int]] = defaultdict(list)
 
     def add(self, u: int, v: int, relation: Relation) -> None:
         self.add_pairs([canonical_pair(u, v)], [relation])
@@ -72,8 +81,9 @@ class ConstraintStore:
         A pair that is not canonical, already stored, or stored with the
         opposite relation raises ValueError; the pairs before it stay stored
         and counted."""
-        ml, cl, open_pairs = self.ml, self.cl, self.open_pairs
+        ml, cl = self.ml, self.cl
         ml_partners, cl_partners = self._ml_partners, self._cl_partners
+        open_discard, new_hubs = self._open.discard, self._new_hubs
         must_link = Relation.MUST_LINK
         stored = len(ml) + len(cl)
         try:
@@ -90,23 +100,35 @@ class ConstraintStore:
                 if pair in target:
                     raise ValueError(f"pair {pair} already stored")
                 target.add(pair)
-                open_pairs.discard(pair)
+                open_discard(pair)
+                if relation is must_link:
+                    new_hubs[a].append(b)
+                    new_hubs[b].append(a)
                 pa = partners.get(a)
                 if pa is None:
                     pa = partners[a] = set()
                 pb = partners.get(b)
                 if pb is None:
                     pb = partners[b] = set()
-                if relation is must_link:
-                    # hub a now joins each of its partners x to b, hub b joins a to each y
-                    for x in pa.difference(pb, cl_partners.get(b, ())):
-                        open_pairs.add((x, b) if x < b else (b, x))
-                    for y in pb.difference(pa, cl_partners.get(a, ())):
-                        open_pairs.add((a, y) if a < y else (y, a))
                 pa.add(b)
                 pb.add(a)
         finally:
             self.queries_used += len(ml) + len(cl) - stored
+
+    @property
+    def open_pairs(self) -> set[tuple[int, int]]:
+        """The canonical pairs of every open triad, brought up to date from
+        the must-links stored since the previous read."""
+        open_pairs = self._open
+        new_hubs, self._new_hubs = self._new_hubs, defaultdict(list)
+        ml_partners, cl_partners = self._ml_partners, self._cl_partners
+        for x, hubs in new_hubs.items():
+            # every y that a new hub of x joins to x, less those related to x
+            reach = set().union(*[ml_partners[h] for h in hubs])
+            reach.difference_update(ml_partners[x], cl_partners.get(x, ()))
+            reach.discard(x)
+            open_pairs.update([(x, y) if x < y else (y, x) for y in reach])
+        return open_pairs
 
     def add_must_link(self, u: int, v: int) -> None:
         self.add(u, v, Relation.MUST_LINK)
@@ -195,11 +217,20 @@ class Budget:
         return cls(pct=pct, max_queries=max_q)
 
 
-def find_forbidden_triads(store: ConstraintStore) -> list[tuple[int, int]]:
-    """All open pairs (b,c): some a is must-linked to both b and c, and (b,c)
-    carries no stored relation. Sorted canonical pairs, no duplicates. The
-    store keeps this set current as pairs are added; see ConstraintStore."""
-    return sorted(store.open_pairs)
+def find_forbidden_triads(store: ConstraintStore, limit: int | None = None) -> list[tuple[int, int]]:
+    """The open pairs (b,c): some a is must-linked to both b and c, and (b,c)
+    carries no stored relation. Sorted canonical pairs, no duplicates; with
+    a limit, only the first limit of them. Reading store.open_pairs brings
+    the set up to date from the must-links stored since the previous read;
+    see ConstraintStore."""
+    open_pairs = store.open_pairs
+    if limit is None or limit >= len(open_pairs):
+        return sorted(open_pairs)
+    # only pairs whose low end is at most the limit-th pair's need sorting
+    last = sorted(map(itemgetter(0), open_pairs))[limit - 1]
+    pairs = sorted([pair for pair in open_pairs if pair[0] <= last])
+    del pairs[limit:]
+    return pairs
 
 
 def _sample_unqueried_pairs(eligible: list[int], count: int,
@@ -250,9 +281,10 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
     (1) query up to floor(init_fraction * max_queries) fresh random pairs
     among oracle-covered nodes; (2) repeatedly query all open forbidden
     triads until closure. Every oracle call, closure included, costs budget.
-    No pair is ever queried twice. Each round, a closure round cut to the
-    remaining budget included, goes to one add_pairs call, which takes the
-    oracle's answers lazily, one per pair, in order.
+    No pair is ever queried twice. A closure round that the remaining budget
+    cuts takes the first open pairs in sorted order. Each round goes to
+    one add_pairs call, which takes the oracle's answers lazily, one per
+    pair, in order.
     """
     if not 0.0 < init_fraction <= 1.0:
         raise ValueError("init_fraction must lie in (0, 1]")
@@ -272,20 +304,27 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
         store.add_pairs(pairs, starmap(oracle.answer, pairs))
         while store.queries_used < max_q:
             # pairs opened while a round is queried wait for the next round
-            pairs = find_forbidden_triads(store)
+            pairs = find_forbidden_triads(store, max_q - store.queries_used)
             if not pairs:
                 break
-            del pairs[max_q - store.queries_used:]
             store.add_pairs(pairs, starmap(oracle.answer, pairs))
     return store
 
 
 def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
-    """One "u v ML|CL" triple per line, sorted by canonical internal pair."""
+    """One "u v ML|CL" triple per line, sorted by canonical internal pair:
+    nodes in id order, each with its higher-id partners in order."""
     tokens = [id_map.external(v) for v in range(len(id_map))]
-    ml = store.ml
-    text = "".join([f"{tokens[u]} {tokens[v]} {'ML' if (u, v) in ml else 'CL'}\n"
-                    for u, v in sorted(ml | store.cl)])
+    ml_partners, cl_partners = store._ml_partners, store._cl_partners
+
+    def lines():
+        for u, tu in enumerate(tokens):
+            ml_u = ml_partners.get(u, ())
+            partners = sorted([*ml_u, *cl_partners.get(u, ())])
+            for v in partners[bisect_right(partners, u):]:
+                yield f"{tu} {tokens[v]} {'ML' if v in ml_u else 'CL'}\n"
+
+    text = "".join(lines())
     with _open_sink(sink) as f:
         f.write(text)
 

@@ -243,6 +243,45 @@ def test_open_pairs_match_a_full_scan_after_every_add(data):
         assert [p in s for p in pairs] == [p in s.ml or p in s.cl for p in pairs]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_open_pairs_read_after_several_rounds_match_a_full_scan(data):
+    # the open set is built when read, so a read may follow several rounds
+    # of mixed relations, each possibly storing pairs open at the last read
+    n = data.draw(st.integers(3, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    s = ConstraintStore()
+    open_at_read: list[tuple[int, int]] = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        free = [p for p in pairs if p not in s]
+        if not free:
+            break
+        pool = [p for p in open_at_read if p not in s] + free
+        round_pairs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+        s.add_pairs(sorted(round_pairs), [data.draw(st.sampled_from(Relation)) for _ in round_pairs])
+        if data.draw(st.booleans()):
+            open_at_read = find_forbidden_triads(s)
+            assert open_at_read == reference_forbidden_triads(s)
+    assert find_forbidden_triads(s) == reference_forbidden_triads(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_limited_round_is_the_head_of_the_sorted_open_pairs(data):
+    # must-links on few nodes give many open pairs sharing a low end
+    n = data.draw(st.integers(3, 14))
+    s = ConstraintStore()
+    for u, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=30)):
+        if u != v and canonical_pair(u, v) not in s:
+            s.add(u, v, data.draw(st.sampled_from(Relation)))
+    want = reference_forbidden_triads(s)
+    for limit in {0, 1, len(want) // 2, max(len(want) - 1, 0), len(want), len(want) + 1,
+                  data.draw(st.integers(0, len(want) + 1))}:
+        assert find_forbidden_triads(s, limit) == want[:limit]
+    assert find_forbidden_triads(s, None) == want
+
+
 def store_state(s: ConstraintStore):
     """Everything a store holds, with the partner dicts' key order and each
     partner set's iteration order, which PartnerTops follows."""
@@ -440,6 +479,34 @@ def test_constraint_file_round_trip():
     back = load_constraints(io.StringIO(text), ids)
     assert back.ml == s.ml
     assert back.cl == s.cl
+    empty = io.StringIO()
+    write_constraints(ConstraintStore(), empty, ids)
+    assert empty.getvalue() == ""
+
+
+def reference_constraint_text(store: ConstraintStore, id_map: IdMap) -> str:
+    """The constraint file by one sort of every stored pair."""
+    return "".join(f"{id_map.external(u)} {id_map.external(v)} {'ML' if (u, v) in store.ml else 'CL'}\n"
+                   for u, v in sorted(store.ml | store.cl))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_constraint_file_matches_the_sorted_pair_reference(data):
+    # tokens are not the ids and sort differently; some nodes hold only
+    # cannot-links, some nothing, and the store may be empty
+    tokens = data.draw(st.lists(st.text(alphabet="abz019", min_size=1, max_size=3),
+                                min_size=2, max_size=12, unique=True))
+    ids = IdMap()
+    for tok in tokens:
+        ids.intern(tok)
+    pairs = list(itertools.combinations(range(len(tokens)), 2))
+    s = ConstraintStore()
+    for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True)):
+        s.add(*((v, u) if data.draw(st.booleans()) else (u, v)), data.draw(st.sampled_from(Relation)))
+    buf = io.StringIO()
+    write_constraints(s, buf, ids)
+    assert buf.getvalue() == reference_constraint_text(s, ids)
 
 
 def test_load_constraints_rejects_malformed_lines():

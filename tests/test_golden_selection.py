@@ -5,8 +5,12 @@ stores, the constraint files and the random stream stay as they were. Each
 case runs `select-constraints` through the command line and compares the
 SHA-256 digest of the constraint file with a digest recorded before the last
 such change. The cases are criterion 4's instance at 1%, 5% and 100% (the
-last takes the sampler's dense branch) and a chain of 328 nodes at 5%. A
-change that moves one draw moves every pair selected after it.
+last takes the sampler's dense branch), a chain of 328 nodes at 5%, and the
+benchmark's 1,610-node chain at 5% (64,762 queries). There, after a random
+round of 32,381 pairs, seed 0 cuts its fifth closure round to 252 of 5,127
+open pairs, and seed 1 reaches closure after eleven rounds and spends the
+rest on a second random round. A change that moves one draw moves every
+pair selected after it.
 
 To re-record after a change that is meant to alter the selection, print
 `selection_digest(...)` for every case and replace GOLDEN.
@@ -25,6 +29,7 @@ from pcslpa.planted import gen_planted_overlap
 INSTANCES = {
     "planted76": (4, 25, 8, 0.3, 0.05),
     "chain328": (10, 40, 8, 0.3, 0.01),
+    "chain1610": (40, 50, 10, 0.3, 0.002),
 }
 
 GOLDEN = {
@@ -40,6 +45,10 @@ GOLDEN = {
         "6cfd3a641db99d79c953b83c2547160001c62cbf1ea712da578e1191dd261b96",
     ("chain328", 0.05, 2):
         "d1d4d74ec1b09177c9ebc9f86073dad9bc2983cf4c605d81fb729bbdbad0c562",
+    ("chain1610", 0.05, 0):
+        "898fa5ce386057d691526d40b7d4ca1b0e1570ec8d420cc81f2e306e7ddd45c4",
+    ("chain1610", 0.05, 1):
+        "d9be7473e8f2a5f8ce5954fd9381c11a6d54dffc2296781974dd04f38f5652c3",
 }
 
 
