@@ -33,6 +33,7 @@ from .harness import (
     ALGO_SLPA,
     UNIVERSES,
     ExperimentConfig,
+    load_experiment_inputs,
     mix_seed,
     results_csv,
     run_experiment,
@@ -122,13 +123,17 @@ def cmd_sweep(args) -> int:
         if args.edges is None or args.truth is None:
             raise ValueError("sweep needs --net NAME EDGES TRUTH (or --edges/--truth)")
         nets = [[Path(args.edges).stem, args.edges, args.truth]]
+    # every config is built, so checked, before any network is loaded
+    algos = [(ALGO_SLPA, [])]
+    if args.budget_pct:
+        algos.append((ALGO_PCSLPA, args.budget_pct))
+    configs = [[_experiment_config(args, edges, truth, algo, pcts, network_id=name)
+                for algo, pcts in algos] for name, edges, truth in nets]
     results = []
-    for name, edges, truth in nets:
-        results += run_experiment(_experiment_config(
-            args, edges, truth, ALGO_SLPA, [], network_id=name))
-        if args.budget_pct:
-            results += run_experiment(_experiment_config(
-                args, edges, truth, ALGO_PCSLPA, args.budget_pct, network_id=name))
+    for net_configs in configs:
+        inputs = load_experiment_inputs(net_configs[0])
+        for cfg in net_configs:
+            results += run_experiment(cfg, inputs)
     _write_output(args.out, sweep_report(results))
     if args.raw_out:
         Path(args.raw_out).write_text(
@@ -176,8 +181,7 @@ def cmd_select_constraints(args) -> int:
     budget = Budget.from_fraction(args.budget_pct[0], len(truth.nodes()))
     rng = random.Random(mix_seed(args.seed, "select"))
     store = select_constraints(g, GroundTruthOracle(truth), budget, args.init_fraction, rng)
-    logger.info("selected %d constraints with %d queries (budget %d)",
-                len(store), store.queries_used, budget.max_queries)
+    logger.info("selected %d constraints (budget %d)", store.queries_used, budget.max_queries)
     buf = io.StringIO()
     write_constraints(store, buf, g.ids)
     _write_output(args.out, buf.getvalue())

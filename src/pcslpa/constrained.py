@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .constraints import ConstraintStore
+from .constraints import ConstraintStore, Relation
 from .graph import Cover, Graph
 from .slpa import LabelMemory, PartnerTops, SlpaParams, post_process
 from .slpa import evaluation_pass as constrained_evaluation_pass
@@ -72,11 +72,11 @@ class RepairReport:
     label_merges: int = 0
 
 
-def init_constrained(g: Graph, store: ConstraintStore) -> list[LabelMemory]:
-    """Unique label per node, then each must-link pair exchanges labels: both
-    nodes gain the partner's label with count 1."""
+def init_constrained(g: Graph, ml_pairs: list[tuple[int, int]]) -> list[LabelMemory]:
+    """Unique label per node, then each must-link pair of ml_pairs, in order,
+    exchanges labels: both nodes gain the partner's label with count 1."""
     memories = [LabelMemory(v) for v in range(g.n)]
-    for u, v in sorted(store.ml):
+    for u, v in ml_pairs:
         memories[u].add(v)
         memories[v].add(u)
     return memories
@@ -88,21 +88,17 @@ def constrained_speaker_set(g: Graph, store: ConstraintStore, listener: int) -> 
     Returns the adjacency list itself when the listener is unconstrained, so
     the unsupervised code path is preserved exactly; callers must not mutate.
     """
-    ml = store.ml_partners(listener)
-    cl = store.cl_partners(listener)
+    ml = store.partners[Relation.MUST_LINK].get(listener, ())
+    cl = store.partners[Relation.CANNOT_LINK].get(listener, ())
     if not ml and not cl:
         return g.adjacency[listener]
-    speakers = set(g.adjacency[listener])
-    speakers |= ml
-    speakers -= cl
-    speakers.discard(listener)
-    return sorted(speakers)
+    return sorted(set(g.adjacency[listener]).union(ml).difference(cl, (listener,)))
 
 
-def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
+def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
                         report: RepairReport, gained: set[int],
                         partner_tops: PartnerTops) -> RepairReport:
-    """Merge top labels that a must-link joins and no cannot-link separates.
+    """Merge top labels that a must-link of ml_pairs joins and no cannot-link separates.
 
     A must-link pair whose endpoints top on labels a and b links a and b; a
     cannot-link pair topping on them separates them, which partner_tops
@@ -116,7 +112,7 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
     keys cannot simply be renamed)."""
     tops = [memory.top for memory in memories]
     links: dict[tuple[int, int], int] = {}
-    for u, v in store.ml:
+    for u, v in ml_pairs:
         a, b = tops[u], tops[v]
         if a != b:
             key = (a, b) if a < b else (b, a)
@@ -136,11 +132,6 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
             others.discard(a)
             if others:
                 separated.setdefault(a, set()).update(others)
-    by_count: dict[int, list[tuple[int, int]]] = {}
-    for pair, count in links.items():
-        by_count.setdefault(count, []).append(pair)
-    del links
-
     parent: dict[int, int] = {}
 
     def group(label: int) -> int:
@@ -148,22 +139,21 @@ def merge_linked_labels(memories: list[LabelMemory], store: ConstraintStore,
             label = parent[label]
         return label
 
-    for count in sorted(by_count, reverse=True):
-        for a, b in sorted(by_count[count]):
-            a, b = group(a), group(b)
-            if a == b:
-                continue
-            low, high = (a, b) if a < b else (b, a)
-            if high in separated.get(low, ()):
-                continue
-            parent[high] = low
-            report.label_merges += 1
-            moved = separated.pop(high, set())
-            for x in moved:
-                others = separated[x]
-                others.discard(high)
-                others.add(low)
-            separated.setdefault(low, set()).update(moved)
+    for a, b in sorted(links, key=lambda pair: (-links[pair], pair)):
+        a, b = group(a), group(b)
+        if a == b:
+            continue
+        low, high = (a, b) if a < b else (b, a)
+        if high in separated.get(low, ()):
+            continue
+        parent[high] = low
+        report.label_merges += 1
+        moved = separated.pop(high, set())
+        for x in moved:
+            others = separated[x]
+            others.discard(high)
+            others.add(low)
+        separated.setdefault(low, set()).update(moved)
     if not parent:
         return report
     targets = {label: group(label) for label in parent}
@@ -276,10 +266,11 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     seed."""
     base = params.base
     rng = random.Random(base.seed)
-    memories = init_constrained(g, store)
-    partner_tops = PartnerTops(store._cl_partners, memories)
-    speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
     ml_pairs, cl_pairs = sorted(store.ml), sorted(store.cl)
+    cl_partners = store.partners[Relation.CANNOT_LINK]
+    memories = init_constrained(g, ml_pairs)
+    partner_tops = PartnerTops(cl_partners, memories)
+    speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
     report = RepairReport()
     # label-set size of each node after the previous repair; 0 before the
     # first, which no memory has, so the first repair counts every node
@@ -291,14 +282,14 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         # disjoint (guard cases aside), so a pair can only share a label again
         # once an endpoint gains one: the width test, merges and grants.
         gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
-        merge_linked_labels(memories, store, report, gained, partner_tops)
+        merge_linked_labels(memories, ml_pairs, report, gained, partner_tops)
         repair_must_link(memories, ml_pairs, report, gained, partner_tops)
         if final or len(gained) == g.n:
             pairs = cl_pairs
         else:
             # the pairs touching gained, read from the partner index
             pairs = sorted({(v, p) if v < p else (p, v)
-                            for v in gained for p in store.cl_partners(v)})
+                            for v in gained for p in cl_partners.get(v, ())})
         repair_cannot_link(memories, partner_tops, rng, report, pairs, speakers)
         widths = [len(memory.counts) for memory in memories]
 

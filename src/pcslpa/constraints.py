@@ -3,9 +3,9 @@
 Selection interleaves random pair queries with forbidden-triad closure: once
 two must-link pairs (a,b) and (a,c) exist, the unresolved pair (b,c) is an
 open triad that must itself be put to the oracle, because must-link is not
-transitive when communities overlap. The store builds the set of open pairs
-when it is read, once per closure round, from the must-links stored since
-the previous read, rather than rescanning every must-link hub.
+transitive when communities overlap. The store keeps each pair once, in its
+partner index, and builds the set of open pairs when it is read, once per
+closure round, from the must-links stored since the previous read.
 
 Each round, random or closure, is stored through the store's one insertion
 path, `ConstraintStore.add_pairs`, in one call that asks the oracle about
@@ -44,11 +44,12 @@ def canonical_pair(u: int, v: int) -> tuple[int, int]:
 
 
 class ConstraintStore:
-    """Symmetric must-link / cannot-link pair sets plus a query ledger.
+    """Must-link / cannot-link pairs plus a query ledger.
 
-    Pairs are stored canonically (low id first). A pair can carry only one
-    relation; inserting the opposite relation raises. Every insertion counts
-    one oracle query against queries_used.
+    partners, the one record of the pairs, maps each relation to each node's
+    set of partners. ml and cl build fresh sets of its canonical pairs (low
+    id first) when read. A pair can carry only one relation; inserting the
+    opposite relation raises. Every insertion counts one query.
 
     add_pairs is the one insertion path: it stores a round of pairs in one
     loop, and add(u, v, relation) is its one-pair call. open_pairs is every
@@ -62,15 +63,24 @@ class ConstraintStore:
     """
 
     def __init__(self) -> None:
-        self.ml: set[tuple[int, int]] = set()
-        self.cl: set[tuple[int, int]] = set()
         self.queries_used = 0
-        self._ml_partners: dict[int, set[int]] = {}
-        self._cl_partners: dict[int, set[int]] = {}
+        self.partners: dict[Relation, dict[int, set[int]]] = {
+            Relation.MUST_LINK: {}, Relation.CANNOT_LINK: {}}
         # open pairs as of the last read, less those stored since, and each
         # node's must-link partners (its new hubs) added since
         self._open: set[tuple[int, int]] = set()
         self._new_hubs: defaultdict[int, list[int]] = defaultdict(list)
+
+    def _pairs(self, relation: Relation) -> set[tuple[int, int]]:
+        return {(u, v) for u, vs in self.partners[relation].items() for v in vs if u < v}
+
+    @property
+    def ml(self) -> set[tuple[int, int]]:
+        return self._pairs(Relation.MUST_LINK)
+
+    @property
+    def cl(self) -> set[tuple[int, int]]:
+        return self._pairs(Relation.CANNOT_LINK)
 
     def add(self, u: int, v: int, relation: Relation) -> None:
         self.add_pairs([canonical_pair(u, v)], [relation])
@@ -81,39 +91,35 @@ class ConstraintStore:
         A pair that is not canonical, already stored, or stored with the
         opposite relation raises ValueError; the pairs before it stay stored
         and counted."""
-        ml, cl = self.ml, self.cl
-        ml_partners, cl_partners = self._ml_partners, self._cl_partners
+        ml_partners = self.partners[Relation.MUST_LINK]
+        cl_partners = self.partners[Relation.CANNOT_LINK]
         open_discard, new_hubs = self._open.discard, self._new_hubs
         must_link = Relation.MUST_LINK
-        stored = len(ml) + len(cl)
-        try:
-            for pair, relation in zip(pairs, relations):
-                a, b = pair
-                if a >= b:
-                    raise ValueError(f"pair {pair} is not canonical")
-                if relation is must_link:
-                    target, opposite, partners = ml, cl, ml_partners
-                else:
-                    target, opposite, partners = cl, ml, cl_partners
-                if pair in opposite:
-                    raise ValueError(f"pair {pair} already holds the opposite relation")
-                if pair in target:
-                    raise ValueError(f"pair {pair} already stored")
-                target.add(pair)
-                open_discard(pair)
-                if relation is must_link:
-                    new_hubs[a].append(b)
-                    new_hubs[b].append(a)
-                pa = partners.get(a)
-                if pa is None:
-                    pa = partners[a] = set()
-                pb = partners.get(b)
-                if pb is None:
-                    pb = partners[b] = set()
-                pa.add(b)
-                pb.add(a)
-        finally:
-            self.queries_used += len(ml) + len(cl) - stored
+        for pair, relation in zip(pairs, relations):
+            a, b = pair
+            if a >= b:
+                raise ValueError(f"pair {pair} is not canonical")
+            if relation is must_link:
+                partners, opposite = ml_partners, cl_partners
+            else:
+                partners, opposite = cl_partners, ml_partners
+            if b in opposite.get(a, ()):
+                raise ValueError(f"pair {pair} already holds the opposite relation")
+            pa = partners.get(a)
+            if pa is None:
+                pa = partners[a] = set()
+            elif b in pa:
+                raise ValueError(f"pair {pair} already stored")
+            pb = partners.get(b)
+            if pb is None:
+                pb = partners[b] = set()
+            pa.add(b)
+            pb.add(a)
+            self.queries_used += 1
+            open_discard(pair)
+            if relation is must_link:
+                new_hubs[a].append(b)
+                new_hubs[b].append(a)
 
     @property
     def open_pairs(self) -> set[tuple[int, int]]:
@@ -121,7 +127,8 @@ class ConstraintStore:
         the must-links stored since the previous read."""
         open_pairs = self._open
         new_hubs, self._new_hubs = self._new_hubs, defaultdict(list)
-        ml_partners, cl_partners = self._ml_partners, self._cl_partners
+        ml_partners = self.partners[Relation.MUST_LINK]
+        cl_partners = self.partners[Relation.CANNOT_LINK]
         for x, hubs in new_hubs.items():
             # every y that a new hub of x joins to x, less those related to x
             reach = set().union(*[ml_partners[h] for h in hubs])
@@ -130,24 +137,9 @@ class ConstraintStore:
             open_pairs.update([(x, y) if x < y else (y, x) for y in reach])
         return open_pairs
 
-    def add_must_link(self, u: int, v: int) -> None:
-        self.add(u, v, Relation.MUST_LINK)
-
-    def add_cannot_link(self, u: int, v: int) -> None:
-        self.add(u, v, Relation.CANNOT_LINK)
-
-    def ml_partners(self, v: int) -> set[int]:
-        return self._ml_partners.get(v, set())
-
-    def cl_partners(self, v: int) -> set[int]:
-        return self._cl_partners.get(v, set())
-
-    def __len__(self) -> int:
-        return len(self.ml) + len(self.cl)
-
     def __contains__(self, pair: tuple[int, int]) -> bool:
         """Whether the canonical pair carries a stored relation."""
-        return pair in self.ml or pair in self.cl
+        return any(pair[1] in partners.get(pair[0], ()) for partners in self.partners.values())
 
     def __repr__(self) -> str:
         return f"ConstraintStore(ml={len(self.ml)}, cl={len(self.cl)}, queries={self.queries_used})"
@@ -237,21 +229,19 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
                             store: ConstraintStore, rng: random.Random) -> list[tuple[int, int]]:
     """Up to count distinct eligible pairs not yet in the store, drawn uniformly."""
     n = len(eligible)
-    total = n * (n - 1) // 2
-    remaining = total - len(store)
+    remaining = n * (n - 1) // 2 - store.queries_used
     count = min(count, remaining)
     if count <= 0:
         return []
+    ml, cl = store.partners[Relation.MUST_LINK], store.partners[Relation.CANNOT_LINK]
     if count * 2 >= remaining:
         # dense request: materialize the leftover pool
-        pool = [(eligible[i], eligible[j])
-                for i in range(n) for j in range(i + 1, n)
-                if (eligible[i], eligible[j]) not in store]
+        pool = [(u, v) for i, u in enumerate(eligible) for v in eligible[i + 1:]
+                if v not in ml.get(u, ()) and v not in cl.get(u, ())]
         return rng.sample(pool, count)
     # each index is rng.randrange(n) by its own rejection loop, the one
     # CPython runs: the same words, so the same pairs
     getrandbits, k = rng.getrandbits, n.bit_length()
-    ml, cl = store.ml, store.cl
     picked: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     while len(picked) < count:
@@ -263,13 +253,19 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
             j = getrandbits(k)
         if i == j:
             continue
-        u, v = eligible[i], eligible[j]
-        pair = (u, v) if u < v else (v, u)
-        if pair in ml or pair in cl or pair in seen:
+        # eligible ascends, so the lower index holds the lower id
+        u, v = pair = (eligible[i], eligible[j]) if i < j else (eligible[j], eligible[i])
+        if pair in seen or v in ml.get(u, ()) or v in cl.get(u, ()):
             continue
         seen.add(pair)
         picked.append(pair)
     return picked
+
+
+def check_init_fraction(init_fraction: float) -> None:
+    """The share of the budget per random round must lie in (0, 1]."""
+    if not 0.0 < init_fraction <= 1.0:
+        raise ValueError("init_fraction must lie in (0, 1]")
 
 
 def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
@@ -286,8 +282,7 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
     one add_pairs call, which takes the oracle's answers lazily, one per
     pair, in order.
     """
-    if not 0.0 < init_fraction <= 1.0:
-        raise ValueError("init_fraction must lie in (0, 1]")
+    check_init_fraction(init_fraction)
     if rng is None:
         rng = random.Random()
     store = ConstraintStore()
@@ -299,7 +294,7 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
     total_pairs = len(eligible) * (len(eligible) - 1) // 2
     chunk = max(1, int(init_fraction * max_q))
 
-    while store.queries_used < max_q and len(store) < total_pairs:
+    while store.queries_used < min(max_q, total_pairs):
         pairs = _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), store, rng)
         store.add_pairs(pairs, starmap(oracle.answer, pairs))
         while store.queries_used < max_q:
@@ -315,7 +310,8 @@ def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
     """One "u v ML|CL" triple per line, sorted by canonical internal pair:
     nodes in id order, each with its higher-id partners in order."""
     tokens = [id_map.external(v) for v in range(len(id_map))]
-    ml_partners, cl_partners = store._ml_partners, store._cl_partners
+    ml_partners = store.partners[Relation.MUST_LINK]
+    cl_partners = store.partners[Relation.CANNOT_LINK]
 
     def lines():
         for u, tu in enumerate(tokens):
@@ -341,9 +337,9 @@ def load_constraints(source, id_map: IdMap) -> ConstraintStore:
         tu, tv, tag = tokens
         if tag not in ("ML", "CL"):
             raise ParseError(f"unknown relation tag {tag!r}", line_no)
-        if tu not in id_map or tv not in id_map:
-            missing = tu if tu not in id_map else tv
-            raise ParseError(f"unknown node token {missing!r}", line_no)
-        store.add(id_map.internal(tu), id_map.internal(tv),
-                  Relation.MUST_LINK if tag == "ML" else Relation.CANNOT_LINK)
+        try:
+            store.add(id_map.internal(tu), id_map.internal(tv), Relation(tag))
+        except (KeyError, ValueError) as e:
+            # an unknown token, or a self, repeated or conflicting pair
+            raise ParseError(e.args[0], line_no) from e
     return store

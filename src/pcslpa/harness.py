@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constrained import DEFAULT_REPAIR_EVERY, PcSlpaParams, run_pcslpa_report
-from .constraints import Budget, GroundTruthOracle, select_constraints
+from .constraints import Budget, GroundTruthOracle, check_init_fraction, select_constraints
 from .graph import Cover, Graph, load_cover, load_edge_list
 from .nmi import overlapping_nmi
 from .slpa import SlpaParams, run_slpa
@@ -59,8 +59,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown universe mode {self.universe!r}")
         if any(not 0.0 <= p <= 1.0 for p in self.budget_pcts):
             raise ValueError("budget fractions must lie in [0, 1]")
+        if len(set(self.budget_pcts)) != len(self.budget_pcts):
+            raise ValueError("budget fractions must not repeat")
         if self.algorithm == ALGO_PCSLPA and not self.budget_pcts:
             raise ValueError("pcslpa experiments need at least one budget fraction")
+        # the propagation and selection settings, checked by their own types
+        PcSlpaParams(SlpaParams(self.iterations, self.threshold), self.repair_every)
+        check_init_fraction(self.init_fraction)
         if not self.network_id:
             object.__setattr__(self, "network_id", Path(self.edges).stem)
 
@@ -127,13 +132,15 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
     return RunResult(cfg.network_id, algo, pct, seed, score, ms, *counters), cover, store
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
-    """All (cell, run) results for a config, in deterministic order.
+def run_experiment(cfg: ExperimentConfig,
+                   inputs: tuple[Graph, Cover] | None = None) -> list[RunResult]:
+    """All (cell, run) results for a config, in deterministic order. inputs
+    is cfg's (graph, truth) when the caller has loaded them already.
 
     Each result depends only on its derived seed, so the list is invariant
     under any execution order.
     """
-    g, truth = load_experiment_inputs(cfg)
+    g, truth = load_experiment_inputs(cfg) if inputs is None else inputs
     results = []
     for algo, pct in experiment_cells(cfg):
         for run_index in range(cfg.runs):

@@ -6,6 +6,7 @@ import argparse
 
 import pytest
 
+from pcslpa import harness
 from pcslpa.cli import build_parser, main
 
 
@@ -116,6 +117,42 @@ def test_sweep_is_byte_stable(planted, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "network,slpa,pcslpa@0.05"
+
+
+def test_sweep_loads_each_network_once(planted, tmp_path, monkeypatch):
+    edges, truth = planted
+    loaded = []
+    load = harness.load_edge_list
+    monkeypatch.setattr(harness, "load_edge_list", lambda path: loaded.append(path) or load(path))
+    rc = main(["sweep", "--net", "a", str(edges), str(truth), "--net", "b", str(edges), str(truth),
+               "--budget-pct", "0.05", "--budget-pct", "0.1", "--T", "5", "--runs", "2",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert list(map(str, loaded)) == [str(edges), str(edges)]
+    assert (tmp_path / "s.csv").read_text().splitlines()[0] == "network,slpa,pcslpa@0.05,pcslpa@0.1"
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("sweep", ["--budget-pct", "0.05", "--init-fraction", "0"]),
+    ("sweep", ["--budget-pct", "0.05", "--repair-every", "0"]),
+    ("sweep", ["--budget-pct", "0.05", "--budget-pct", "0.05"]),
+    ("sweep", ["--T", "0"]),
+    ("run", ["--algo", "slpa", "--init-fraction", "7"]),
+    ("run", ["--algo", "slpa", "--repair-every", "-3"]),
+    ("run", ["--algo", "pcslpa", "--budget-pct", "0.05", "--budget-pct", "0.05"]),
+    ("run", ["--algo", "slpa", "--r", "2"]),
+])
+def test_a_bad_experiment_setting_fails_before_any_cell_runs(planted, tmp_path, monkeypatch,
+                                                             capsys, command, bad):
+    edges, truth = planted
+    cells = []
+    monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+    rc = main([command, "--edges", str(edges), "--truth", str(truth), "--runs", "2", *bad,
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert cells == []
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_winloss_reads_sweep_matrix(tmp_path, capsys):

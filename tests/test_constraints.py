@@ -31,6 +31,7 @@ from pcslpa.constraints import (
     write_constraints,
 )
 from pcslpa.graph import Cover, IdMap, ParseError, build_graph
+from pcslpa.harness import mix_seed
 from pcslpa.planted import gen_planted_overlap
 
 
@@ -51,8 +52,9 @@ class CountingOracle(Oracle):
 
 def reference_forbidden_triads(store: ConstraintStore) -> list[tuple[int, int]]:
     """Open pairs by a full scan of every must-link hub's partner pairs."""
+    ml, cl = store.ml, store.cl
     hubs: dict[int, set[int]] = {}
-    for u, v in store.ml:
+    for u, v in ml:
         hubs.setdefault(u, set()).add(v)
         hubs.setdefault(v, set()).add(u)
     open_pairs: set[tuple[int, int]] = set()
@@ -61,7 +63,7 @@ def reference_forbidden_triads(store: ConstraintStore) -> list[tuple[int, int]]:
         for i, b in enumerate(ps):
             for c in ps[i + 1:]:
                 pair = (b, c)
-                if pair not in store.ml and pair not in store.cl:
+                if pair not in ml and pair not in cl:
                     open_pairs.add(pair)
     return sorted(open_pairs)
 
@@ -137,28 +139,40 @@ def test_canonical_pair_orders_and_rejects_loops():
 
 def test_store_tracks_pairs_and_queries():
     s = ConstraintStore()
-    s.add_must_link(4, 1)
-    s.add_cannot_link(2, 3)
+    s.add(4, 1, Relation.MUST_LINK)
+    s.add(2, 3, Relation.CANNOT_LINK)
     assert s.ml == {(1, 4)}
     assert s.cl == {(2, 3)}
     assert s.queries_used == 2
-    assert len(s) == 2
-    assert s.ml_partners(1) == {4}
-    assert s.ml_partners(4) == {1}
-    assert s.cl_partners(3) == {2}
-    assert s.ml_partners(9) == set()
+    assert s.partners == {Relation.MUST_LINK: {1: {4}, 4: {1}},
+                          Relation.CANNOT_LINK: {2: {3}, 3: {2}}}
+    assert (1, 4) in s and (2, 3) in s and (1, 2) not in s and (4, 9) not in s
+
+
+def test_pair_sets_are_copies_of_the_partner_index():
+    s = ConstraintStore()
+    s.add(0, 1, Relation.MUST_LINK)
+    s.add(1, 2, Relation.CANNOT_LINK)
+    ml, cl = s.ml, s.cl
+    ml.add((5, 6))
+    ml.discard((0, 1))
+    cl.clear()
+    assert s.ml == {(0, 1)} and s.cl == {(1, 2)}
+    assert (0, 1) in s and (1, 2) in s and (5, 6) not in s
+    assert s.partners == {Relation.MUST_LINK: {0: {1}, 1: {0}},
+                          Relation.CANNOT_LINK: {1: {2}, 2: {1}}}
 
 
 def test_store_rejects_duplicates_and_conflicts():
     s = ConstraintStore()
-    s.add_must_link(0, 1)
+    s.add(0, 1, Relation.MUST_LINK)
     with pytest.raises(ValueError):
-        s.add_must_link(1, 0)
+        s.add(1, 0, Relation.MUST_LINK)
     with pytest.raises(ValueError):
-        s.add_cannot_link(0, 1)
+        s.add(0, 1, Relation.CANNOT_LINK)
     with pytest.raises(ValueError, match="not canonical"):
         s.add_pairs([(3, 2)], [Relation.MUST_LINK])
-    assert s.queries_used == 1 and s.ml_partners(3) == set()
+    assert s.queries_used == 1 and 3 not in s.partners[Relation.MUST_LINK]
 
 
 def test_ground_truth_oracle_answers():
@@ -196,27 +210,27 @@ def test_budget_validation():
 
 def test_forbidden_triads_from_shared_must_link_hub():
     s = ConstraintStore()
-    s.add_must_link(1, 2)
-    s.add_must_link(1, 3)
+    s.add(1, 2, Relation.MUST_LINK)
+    s.add(1, 3, Relation.MUST_LINK)
     assert find_forbidden_triads(s) == [(2, 3)]
-    s.add_cannot_link(2, 3)
+    s.add(2, 3, Relation.CANNOT_LINK)
     assert find_forbidden_triads(s) == []
 
 
 def test_forbidden_triads_closed_triangle_is_quiet():
     s = ConstraintStore()
-    s.add_must_link(0, 1)
-    s.add_must_link(1, 2)
-    s.add_must_link(0, 2)
+    s.add(0, 1, Relation.MUST_LINK)
+    s.add(1, 2, Relation.MUST_LINK)
+    s.add(0, 2, Relation.MUST_LINK)
     assert find_forbidden_triads(s) == []
 
 
 def test_forbidden_triads_sorted_and_deduped():
     s = ConstraintStore()
-    s.add_must_link(5, 1)
-    s.add_must_link(5, 3)
-    s.add_must_link(1, 3)  # closes (1,3); hub at 1 now opens nothing new
-    s.add_must_link(1, 7)
+    s.add(5, 1, Relation.MUST_LINK)
+    s.add(5, 3, Relation.MUST_LINK)
+    s.add(1, 3, Relation.MUST_LINK)  # closes (1,3); hub at 1 now opens nothing new
+    s.add(1, 7, Relation.MUST_LINK)
     pairs = find_forbidden_triads(s)
     assert pairs == sorted(set(pairs))
     assert (3, 7) in pairs and (5, 7) in pairs
@@ -231,7 +245,7 @@ def test_open_pairs_match_a_full_scan_after_every_add(data):
     pairs = list(itertools.combinations(range(n), 2))
     s = ConstraintStore()
     for _ in range(data.draw(st.integers(1, 30))):
-        free = [p for p in pairs if p not in s.ml and p not in s.cl]
+        free = [p for p in pairs if p not in s]
         if not free:
             break
         open_now = reference_forbidden_triads(s)
@@ -286,8 +300,8 @@ def store_state(s: ConstraintStore):
     """Everything a store holds, with the partner dicts' key order and each
     partner set's iteration order, which PartnerTops follows."""
     return (s.ml, s.cl, s.open_pairs, s.queries_used,
-            [(v, list(ps)) for v, ps in s._ml_partners.items()],
-            [(v, list(ps)) for v, ps in s._cl_partners.items()])
+            [(v, list(ps)) for v, ps in s.partners[Relation.MUST_LINK].items()],
+            [(v, list(ps)) for v, ps in s.partners[Relation.CANNOT_LINK].items()])
 
 
 @settings(max_examples=150, deadline=None)
@@ -352,7 +366,7 @@ def test_selection_respects_budget_exactly():
     budget = Budget.from_fraction(0.01, g.n)
     store = select_constraints(g, oracle, budget, rng=random.Random(5))
     assert budget.max_queries == 28  # floor(0.01 * 76*75/2)
-    assert store.queries_used == len(oracle.queried) == len(store)
+    assert store.queries_used == len(oracle.queried) == len(store.ml | store.cl)
     assert store.queries_used <= budget.max_queries
 
 
@@ -440,7 +454,7 @@ def test_selection_on_a_large_sparse_graph_with_small_truth():
     finally:
         tracemalloc.stop()
     assert budget.max_queries == 1610 * 1609 // 2 // 100 == 12952
-    assert store.queries_used == len(oracle.queried) == len(store) == 12952
+    assert store.queries_used == len(oracle.queried) == len(store.ml | store.cl) == 12952
     assert {v for pair in oracle.queried for v in pair} <= set(nodes)
     assert peak < PEAK_BOUND, peak
 
@@ -449,7 +463,7 @@ def test_selection_zero_budget_and_bad_fraction():
     g, truth = _fixture()
     store = select_constraints(g, GroundTruthOracle(truth),
                                Budget.from_fraction(0.0, g.n))
-    assert len(store) == 0
+    assert store.queries_used == 0 and not store.ml | store.cl
     with pytest.raises(ValueError):
         select_constraints(g, GroundTruthOracle(truth),
                            Budget.from_fraction(0.05, g.n), init_fraction=0.0)
@@ -469,9 +483,9 @@ def test_constraint_file_round_trip():
     for tok in ("n0", "n1", "n2", "n3"):
         ids.intern(tok)
     s = ConstraintStore()
-    s.add_must_link(0, 2)
-    s.add_cannot_link(1, 3)
-    s.add_must_link(0, 1)
+    s.add(0, 2, Relation.MUST_LINK)
+    s.add(1, 3, Relation.CANNOT_LINK)
+    s.add(0, 1, Relation.MUST_LINK)
     buf = io.StringIO()
     write_constraints(s, buf, ids)
     text = buf.getvalue()
@@ -519,3 +533,33 @@ def test_load_constraints_rejects_malformed_lines():
         load_constraints(io.StringIO("0 9 ML\n"), ids)
     ok = load_constraints(io.StringIO("# note\n\n0 1 CL\n"), ids)
     assert ok.cl == {(0, 1)}
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("0 1 ML\n# note\n1 0 ML\n", 3, "already stored"),
+    ("0 1 ML\n\n0 1 CL\n", 3, "opposite relation"),
+    ("0 1 CL\n2 2 ML\n", 2, "distinct nodes"),
+])
+def test_load_constraints_reports_a_bad_pair_with_its_line(text, line_no, message):
+    with pytest.raises(ParseError, match=f"^line {line_no}: .*{message}") as raised:
+        load_constraints(io.StringIO(text), IdMap.identity(4))
+    assert raised.value.line_no == line_no
+
+
+# A chain1610 5% selection (64,762 pairs) leaves 9.2 MB live under tracemalloc;
+# keeping each pair a second time, as a tuple in a set per relation, took 15.3 MB.
+STORE_BOUND = 11_000_000
+
+
+def test_a_store_keeps_one_record_of_its_pairs():
+    g, truth = gen_planted_overlap(40, 50, 10, 0.3, 0.002, seed=0)
+    oracle = GroundTruthOracle(truth)
+    budget = Budget.from_fraction(0.05, len(truth.nodes()))
+    tracemalloc.start()
+    try:
+        store = select_constraints(g, oracle, budget, rng=random.Random(mix_seed(0, "select")))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert store.queries_used == budget.max_queries == 64762
+    assert held < STORE_BOUND, held

@@ -30,6 +30,7 @@ from pcslpa.constraints import (
     Budget,
     ConstraintStore,
     GroundTruthOracle,
+    Relation,
     canonical_pair,
     select_constraints,
 )
@@ -49,7 +50,7 @@ def cover_key(cover):
 
 
 def partner_tops(mems, store) -> PartnerTops:
-    return PartnerTops({v: store.cl_partners(v) for v in range(len(mems))}, mems)
+    return PartnerTops(store.partners[Relation.CANNOT_LINK], mems)
 
 
 def recount_partner_tops(mems, store) -> dict[int, dict[int, int]]:
@@ -88,8 +89,8 @@ def cl_repair_by_count(mems, store, rng) -> RepairReport:
 def test_init_exchanges_labels_across_must_link_pairs():
     g = build_graph(2, [(0, 1)])
     store = ConstraintStore()
-    store.add_must_link(0, 1)
-    mems = init_constrained(g, store)
+    store.add(0, 1, Relation.MUST_LINK)
+    mems = init_constrained(g, sorted(store.ml))
     assert mems[0].counts == {0: 1, 1: 1}
     assert mems[1].counts == {1: 1, 0: 1}
     assert mems[0].total == mems[1].total == 2
@@ -97,7 +98,7 @@ def test_init_exchanges_labels_across_must_link_pairs():
 
 def test_init_without_constraints_matches_plain_init():
     g = build_graph(3, [(0, 1), (1, 2)])
-    a = init_constrained(g, ConstraintStore())
+    a = init_constrained(g, [])
     b = init_memories(g)
     assert [m.counts for m in a] == [m.counts for m in b]
 
@@ -105,9 +106,9 @@ def test_init_without_constraints_matches_plain_init():
 def test_init_accumulates_multiple_partners():
     g = build_graph(3, [(0, 1), (0, 2)])
     store = ConstraintStore()
-    store.add_must_link(0, 1)
-    store.add_must_link(0, 2)
-    mems = init_constrained(g, store)
+    store.add(0, 1, Relation.MUST_LINK)
+    store.add(0, 2, Relation.MUST_LINK)
+    mems = init_constrained(g, sorted(store.ml))
     assert mems[0].counts == {0: 1, 1: 1, 2: 1}
     assert mems[0].total == 3
 
@@ -115,8 +116,8 @@ def test_init_accumulates_multiple_partners():
 def test_speaker_set_adds_ml_and_removes_cl():
     g = build_graph(6, [(0, 1), (0, 2)])
     store = ConstraintStore()
-    store.add_must_link(0, 5)
-    store.add_cannot_link(0, 2)
+    store.add(0, 5, Relation.MUST_LINK)
+    store.add(0, 2, Relation.CANNOT_LINK)
     assert constrained_speaker_set(g, store, 0) == [1, 5]
 
 
@@ -130,14 +131,14 @@ def test_speaker_set_unconstrained_is_the_adjacency_list_itself():
 def test_speaker_set_can_empty_out():
     g = build_graph(2, [(0, 1)])
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     assert constrained_speaker_set(g, store, 0) == []
 
 
 def test_listener_rejects_labels_of_cannot_link_partners():
     g = build_graph(8, [(0, 1), (0, 2), (0, 3)])
     store = ConstraintStore()
-    store.add_cannot_link(0, 7)
+    store.add(0, 7, Relation.CANNOT_LINK)
     mems = [LabelMemory(v) for v in range(8)]
     mems[1] = mem({7: 1})
     mems[2] = mem({7: 1})
@@ -151,7 +152,7 @@ def test_listener_rejects_labels_of_cannot_link_partners():
 def test_listener_unchanged_when_every_label_is_rejected():
     g = build_graph(8, [(0, 1), (0, 2)])
     store = ConstraintStore()
-    store.add_cannot_link(0, 7)
+    store.add(0, 7, Relation.CANNOT_LINK)
     mems = [LabelMemory(v) for v in range(8)]
     mems[1] = mem({7: 1})
     mems[2] = mem({7: 1})
@@ -164,7 +165,7 @@ def test_listener_rejects_the_partner_top_not_the_partner_id():
     # partner's own id 7, no longer its top, is accepted
     g = build_graph(8, [(0, 1), (0, 2), (0, 3)])
     store = ConstraintStore()
-    store.add_cannot_link(0, 7)
+    store.add(0, 7, Relation.CANNOT_LINK)
     mems = [LabelMemory(v) for v in range(8)]
     mems[1] = mem({5: 1})
     mems[2] = mem({5: 1})
@@ -178,7 +179,7 @@ def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
     g, truth = gen_planted_overlap(3, 10, 2, 0.6, 0.05, seed=4)
     store = select_constraints(g, GroundTruthOracle(truth),
                                Budget.from_fraction(0.1, g.n), rng=random.Random(4))
-    mems = init_constrained(g, store)
+    mems = init_constrained(g, sorted(store.ml))
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
     index = partner_tops(mems, store)
     rng = random.Random(9)
@@ -191,7 +192,7 @@ def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
         constrained_evaluation_pass(speakers, mems, index, rng)
         assert tops_are_argmax()
     report, gained = RepairReport(), set()
-    merge_linked_labels(mems, store, report, gained, index)
+    merge_linked_labels(mems, sorted(store.ml), report, gained, index)
     assert report.label_merges > 0
     assert tops_are_argmax()
     repair_must_link(mems, sorted(store.ml), report, gained, index)
@@ -213,9 +214,9 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed):
     g = build_graph(n, edges)
     store = ConstraintStore()
     for u, v, must in constraints:
-        if u != v and canonical_pair(u, v) not in store.ml | store.cl:
-            (store.add_must_link if must else store.add_cannot_link)(u, v)
-    mems = init_constrained(g, store)
+        if u != v and canonical_pair(u, v) not in store:
+            store.add(u, v, Relation.MUST_LINK if must else Relation.CANNOT_LINK)
+    mems = init_constrained(g, sorted(store.ml))
     speakers = [constrained_speaker_set(g, store, v) for v in range(n)]
     index = partner_tops(mems, store)
     rng = random.Random(seed)
@@ -234,7 +235,7 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed):
         # also before a merge, which otherwise aligns most must-link tops
         ml_repair_keeps_every_top()
         assert index.blocked == recount_partner_tops(mems, store)
-        merge_linked_labels(mems, store, report, gained, index)
+        merge_linked_labels(mems, sorted(store.ml), report, gained, index)
         assert index.blocked == recount_partner_tops(mems, store)
         ml_repair_keeps_every_top()
         assert index.blocked == recount_partner_tops(mems, store)
@@ -244,10 +245,10 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed):
 
 def test_merge_joins_linked_tops_everywhere():
     store = ConstraintStore()
-    store.add_must_link(0, 1)
+    store.add(0, 1, Relation.MUST_LINK)
     mems = [mem({10: 3, 5: 1}), mem({11: 2}), mem({11: 4, 10: 1})]
     gained = set()
-    report = merge_linked_labels(mems, store, RepairReport(), gained, partner_tops(mems, store))
+    report = merge_linked_labels(mems, sorted(store.ml), RepairReport(), gained, partner_tops(mems, store))
     assert report.label_merges == 1
     assert mems[0].counts == {10: 3, 5: 1}
     assert mems[1].counts == {10: 2}
@@ -258,17 +259,17 @@ def test_merge_joins_linked_tops_everywhere():
 
 def test_merge_is_vetoed_by_a_separating_cannot_link():
     store = ConstraintStore()
-    store.add_must_link(0, 1)
-    store.add_cannot_link(2, 3)
+    store.add(0, 1, Relation.MUST_LINK)
+    store.add(2, 3, Relation.CANNOT_LINK)
     mems = [mem({10: 3}), mem({11: 2}), mem({10: 2}), mem({11: 5})]
-    report = merge_linked_labels(mems, store, RepairReport(), set(), partner_tops(mems, store))
+    report = merge_linked_labels(mems, sorted(store.ml), RepairReport(), set(), partner_tops(mems, store))
     assert report.label_merges == 0
     assert [m.counts for m in mems] == [{10: 3}, {11: 2}, {10: 2}, {11: 5}]
 
 
 def test_ml_repair_one_way_gives_the_weaker_side_the_partner_top():
     store = ConstraintStore()
-    store.add_must_link(0, 1)
+    store.add(0, 1, Relation.MUST_LINK)
     # node 1's top holds half its memory, node 0's top five sixths; label 100
     # has the lower id, so it stops one short of a tie with node 1's top, and
     # against a top of count 1 nothing is granted and no exchange is counted
@@ -289,8 +290,8 @@ def test_ml_repair_one_way_gives_the_weaker_side_the_partner_top():
 
 def test_ml_repair_one_way_falls_back_to_the_other_side_when_blocked():
     store = ConstraintStore()
-    store.add_must_link(0, 1)
-    store.add_cannot_link(1, 2)
+    store.add(0, 1, Relation.MUST_LINK)
+    store.add(1, 2, Relation.CANNOT_LINK)
     mems = [mem({100: 5, 101: 1}), mem({102: 2, 103: 2}), mem({100: 4})]
     report = ml_repair(mems, store)
     assert mems[1].counts == {102: 2, 103: 2}
@@ -300,7 +301,7 @@ def test_ml_repair_one_way_falls_back_to_the_other_side_when_blocked():
 
 def test_cl_repair_by_support_strips_the_less_embedded_side():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     # node 1 holds label 100 with the larger count, but only one of its two
     # speakers tops on 100 against both of node 0's
     mems = [mem({100: 2, 7: 3}), mem({100: 5, 8: 1}),
@@ -315,8 +316,8 @@ def test_cl_repair_by_support_strips_the_less_embedded_side():
 
 def test_cl_repair_checks_only_the_given_pairs():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
-    store.add_cannot_link(2, 3)
+    store.add(0, 1, Relation.CANNOT_LINK)
+    store.add(2, 3, Relation.CANNOT_LINK)
     mems = [mem({100: 3, 1: 1}), mem({100: 2, 2: 1}), mem({200: 3, 3: 1}), mem({200: 2, 4: 1})]
     report = cl_repair(mems, store, random.Random(0), [(0, 1)], [[]] * len(mems))
     assert report.cl_deletions == 1
@@ -330,7 +331,7 @@ def test_default_schedule_repairs_periodically():
 
 def test_ml_repair_skips_pairs_already_aligned():
     store = ConstraintStore()
-    store.add_must_link(0, 1)
+    store.add(0, 1, Relation.MUST_LINK)
     mems = [mem({9: 3}), mem({9: 2, 4: 1})]
     report = ml_repair(mems, store)
     assert report.ml_exchanges == 0
@@ -340,7 +341,7 @@ def test_ml_repair_skips_pairs_already_aligned():
 
 def test_cl_repair_deletes_common_label_from_smaller_holder():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     mems = [mem({100: 3, 101: 1}), mem({100: 2, 102: 2})]
     report = cl_repair_by_count(mems, store, random.Random(0))
     assert mems[0].counts == {100: 3, 101: 1}
@@ -351,7 +352,7 @@ def test_cl_repair_deletes_common_label_from_smaller_holder():
 
 def test_cl_repair_deletion_falls_to_partner_when_loser_is_single_label():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     # 0 holds the smaller count but only that one label; 1 absorbs the loss
     mems = [mem({100: 2}), mem({100: 3, 103: 1})]
     report = cl_repair_by_count(mems, store, random.Random(0))
@@ -363,7 +364,7 @@ def test_cl_repair_deletion_falls_to_partner_when_loser_is_single_label():
 
 def test_cl_repair_guard_when_both_sides_would_empty():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     mems = [mem({100: 2}), mem({100: 2})]
     report = cl_repair_by_count(mems, store, random.Random(0))
     assert mems[0].counts == {100: 2}
@@ -374,7 +375,7 @@ def test_cl_repair_guard_when_both_sides_would_empty():
 
 def test_cl_repair_handles_multiple_common_labels():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     mems = [mem({100: 2, 101: 3, 104: 9}), mem({100: 5, 101: 1, 105: 4})]
     report = cl_repair_by_count(mems, store, random.Random(0))
     assert set(mems[0].counts).isdisjoint(mems[1].counts)
@@ -385,7 +386,7 @@ def test_cl_repair_handles_multiple_common_labels():
 
 def test_cl_repair_ignores_disjoint_pairs():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     mems = [mem({1: 4}), mem({2: 6})]
     report = cl_repair_by_count(mems, store, random.Random(0))
     assert report.cl_deletions == 0
@@ -394,7 +395,7 @@ def test_cl_repair_ignores_disjoint_pairs():
 
 def test_cl_repair_tie_side_is_random_but_seeded():
     store = ConstraintStore()
-    store.add_cannot_link(0, 1)
+    store.add(0, 1, Relation.CANNOT_LINK)
     outcomes = set()
     for seed in range(20):
         mems = [mem({100: 2, 101: 1}), mem({100: 2, 102: 1})]
