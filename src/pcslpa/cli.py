@@ -2,12 +2,16 @@
 
 Subcommands:
   run                 one algorithm on one network, per-run CSV out
-  sweep               slpa + budget sweep over one or more networks
+  sweep               slpa + budget sweep over networks named by --net
   nmi                 score a detected cover against a reference cover
   select-constraints  query the ground-truth oracle and save the pairs
   filter-truth        preprocess a raw ground-truth community file
   gen-planted         synthetic overlapping-community fixture
   winloss             pairwise win-loss table from a sweep CSV
+
+Every score is taken over the nodes of the ground truth (the reference
+cover), and budgets count the pairs of those nodes. `filter-truth` is the one
+place that drops small ground-truth communities.
 
 Any argument `@FILE` is replaced by the arguments written in FILE
 (argparse's argument files): whitespace-separated, '#' starts a comment that
@@ -31,7 +35,6 @@ from .graph import IdMap, ParseError, load_cover, load_edge_list, write_cover, w
 from .harness import (
     ALGO_PCSLPA,
     ALGO_SLPA,
-    UNIVERSES,
     ExperimentConfig,
     load_experiment_inputs,
     mix_seed,
@@ -68,6 +71,9 @@ def _write_output(out, text: str) -> None:
 
 
 def _add_common_experiment_flags(p) -> None:
+    p.add_argument("--budget-pct", action="append", type=float, default=[],
+                   help="constraint budget as a fraction of the pairs of the ground "
+                        "truth's nodes; repeatable")
     p.add_argument("--T", type=int, default=DEFAULTS.iterations,
                    help="label propagation passes (default %(default)s)")
     p.add_argument("--r", type=float, default=DEFAULTS.threshold,
@@ -76,13 +82,6 @@ def _add_common_experiment_flags(p) -> None:
                    help="independent runs per cell (default %(default)s)")
     p.add_argument("--seed", type=int, default=DEFAULTS.seed,
                    help="base seed, per-run seeds derived from it (default %(default)s)")
-    p.add_argument("--universe", choices=UNIVERSES, default=DEFAULTS.universe,
-                   help="node universe for scoring (default %(default)s)")
-    p.add_argument("--min-comm-size", type=int, default=DEFAULTS.min_comm_size,
-                   help="drop ground-truth communities below this size (default %(default)s)")
-    p.add_argument("--init-fraction", type=float, default=DEFAULTS.init_fraction,
-                   help="fraction of the budget spent per random seeding round "
-                        "(default %(default)s)")
     p.add_argument("--repair-every", type=int, default=DEFAULTS.repair_every,
                    help="repair constraints after every k-th pass and after the last; "
                         "k >= T repairs once (default %(default)s)")
@@ -99,9 +98,6 @@ def _experiment_config(args, edges, truth, algo, pcts, network_id="") -> Experim
         threshold=args.r,
         runs=args.runs,
         seed=args.seed,
-        min_comm_size=args.min_comm_size,
-        universe=args.universe,
-        init_fraction=args.init_fraction,
         repair_every=args.repair_every,
         network_id=network_id,
     )
@@ -118,17 +114,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    nets = args.net
-    if not nets:
-        if args.edges is None or args.truth is None:
-            raise ValueError("sweep needs --net NAME EDGES TRUTH (or --edges/--truth)")
-        nets = [[Path(args.edges).stem, args.edges, args.truth]]
+    names = [name for name, _, _ in args.net]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"each --net needs its own NAME; repeated: {', '.join(repeated)}")
     # every config is built, so checked, before any network is loaded
     algos = [(ALGO_SLPA, [])]
     if args.budget_pct:
         algos.append((ALGO_PCSLPA, args.budget_pct))
     configs = [[_experiment_config(args, edges, truth, algo, pcts, network_id=name)
-                for algo, pcts in algos] for name, edges, truth in nets]
+                for algo, pcts in algos] for name, edges, truth in args.net]
     results = []
     for net_configs in configs:
         inputs = load_experiment_inputs(net_configs[0])
@@ -157,19 +152,12 @@ def _cover_id_map(paths) -> IdMap:
 
 
 def cmd_nmi(args) -> int:
-    if args.edges is not None:
-        g = load_edge_list(args.edges)
-        id_map = g.ids
-    else:
-        if args.universe == "all":
-            raise ValueError("--universe all needs --edges for the node universe")
-        g = None
-        id_map = _cover_id_map([args.truth, args.cover])
-    truth = load_cover(args.truth, id_map, min_size=args.min_comm_size)
-    detected = load_cover(args.cover, id_map, min_size=1)
-    universe = truth.nodes() if args.universe == "covered" else set(range(g.n))
-    score = overlapping_nmi(truth, detected, universe)
-    print(f"{score:.6f}")
+    # with --edges, a token that names no graph node is an error
+    id_map = (load_edge_list(args.edges).ids if args.edges is not None
+              else _cover_id_map([args.truth, args.cover]))
+    truth = load_cover(args.truth, id_map)
+    detected = load_cover(args.cover, id_map)
+    print(f"{overlapping_nmi(truth, detected, truth.nodes()):.6f}")
     return 0
 
 
@@ -177,10 +165,10 @@ def cmd_select_constraints(args) -> int:
     if len(args.budget_pct) != 1:
         raise ValueError("select-constraints needs exactly one --budget-pct")
     g = load_edge_list(args.edges)
-    truth = load_cover(args.truth, g.ids, min_size=args.min_comm_size)
+    truth = load_cover(args.truth, g.ids)
     budget = Budget.from_fraction(args.budget_pct[0], len(truth.nodes()))
     rng = random.Random(mix_seed(args.seed, "select"))
-    store = select_constraints(g, GroundTruthOracle(truth), budget, args.init_fraction, rng)
+    store = select_constraints(g, GroundTruthOracle(truth), budget, rng)
     logger.info("selected %d constraints (budget %d)", store.queries_used, budget.max_queries)
     buf = io.StringIO()
     write_constraints(store, buf, g.ids)
@@ -190,12 +178,12 @@ def cmd_select_constraints(args) -> int:
 
 def cmd_filter_truth(args) -> int:
     g = load_edge_list(args.edges)
-    raw = load_cover(args.truth, g.ids, min_size=1, strict=args.strict)
+    raw = load_cover(args.truth, g.ids, strict=args.strict)
     filtered = filter_truth_cover(
         g, raw,
         keep_largest=args.keep_largest,
         drop_density_quartile=not args.keep_sparse,
-        min_size=args.min_comm_size,
+        min_size=args.min_size,
     )
     stats = cover_stats(filtered, n_total=g.n)
     logger.info("kept %d of %d communities; sizes %d..%d; %d overlapping nodes (%.1f%%)",
@@ -260,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ground-truth cover, one community per line")
     p.add_argument("--algo", choices=(ALGO_SLPA, ALGO_PCSLPA), default=DEFAULTS.algorithm,
                    help="algorithm (default %(default)s)")
-    p.add_argument("--budget-pct", action="append", type=float, default=[],
-                   help="constraint budget as a fraction of all node pairs; repeatable")
     p.add_argument("--no-timing", action="store_true",
                    help="omit the ms column for byte-stable output")
     _add_common_experiment_flags(p)
@@ -269,11 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="slpa vs pcslpa over budgets and networks")
     p.add_argument("--net", action="append", nargs=3, metavar=("NAME", "EDGES", "TRUTH"),
-                   default=None, help="named network; repeatable")
-    p.add_argument("--edges", default=None, help="single-network edge list")
-    p.add_argument("--truth", default=None, help="single-network ground truth")
-    p.add_argument("--budget-pct", action="append", type=float, default=[],
-                   help="budget fraction; repeatable")
+                   required=True, help="network named NAME in the report; repeatable, "
+                                       "one NAME per network")
     p.add_argument("--raw-out", default=None, help="also write per-run results here")
     p.add_argument("--no-timing", action="store_true",
                    help="omit the ms column from --raw-out")
@@ -284,11 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cover", help="detected cover file")
     p.add_argument("--truth", required=True, help="reference cover file")
     p.add_argument("--edges", default=None,
-                   help="edge list; required for --universe all, otherwise optional")
-    p.add_argument("--universe", choices=UNIVERSES, default=DEFAULTS.universe,
-                   help="scoring universe (default %(default)s: reference cover's nodes)")
-    p.add_argument("--min-comm-size", type=int, default=DEFAULTS.min_comm_size,
-                   help="drop reference communities below this size (default %(default)s)")
+                   help="edge list; if given, every cover token must name one of its nodes")
     p.set_defaults(func=cmd_nmi)
 
     p = sub.add_parser("select-constraints", help="query the oracle, save the constraint file")
@@ -296,14 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True,
                    help="ground-truth cover that answers the queries, one community per line")
     p.add_argument("--budget-pct", action="append", type=float, required=True,
-                   help="query budget as a fraction of all node pairs; give exactly one")
+                   help="query budget as a fraction of the pairs of the ground truth's "
+                        "nodes; give exactly one")
     p.add_argument("--seed", type=int, default=DEFAULTS.seed,
                    help="seed of the query order (default %(default)s)")
-    p.add_argument("--init-fraction", type=float, default=DEFAULTS.init_fraction,
-                   help="fraction of the budget spent per random seeding round "
-                        "(default %(default)s)")
-    p.add_argument("--min-comm-size", type=int, default=DEFAULTS.min_comm_size,
-                   help="drop ground-truth communities below this size (default %(default)s)")
     p.add_argument("--out", default=None,
                    help="constraint file, 'u v ML|CL' per line (default stdout)")
     p.set_defaults(func=cmd_select_constraints)
@@ -313,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="raw ground-truth cover, one community per line")
     p.add_argument("--keep-largest", type=int, default=5000,
                    help="keep at most this many largest communities (default 5000)")
-    p.add_argument("--min-comm-size", type=int, default=5,
+    p.add_argument("--min-comm-size", dest="min_size", type=int, default=5,
                    help="drop communities below this size after filtering (default 5)")
     p.add_argument("--keep-sparse", action="store_true",
                    help="skip dropping the lowest internal-density quartile")

@@ -262,27 +262,20 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
     return picked
 
 
-def check_init_fraction(init_fraction: float) -> None:
-    """The share of the budget per random round must lie in (0, 1]."""
-    if not 0.0 < init_fraction <= 1.0:
-        raise ValueError("init_fraction must lie in (0, 1]")
-
-
 def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
-                       init_fraction: float = 0.5,
                        rng: random.Random | None = None) -> ConstraintStore:
     """Budgeted constraint selection: random seeding plus triad closure.
 
     Rounds alternate until the budget or the eligible pair pool runs out:
-    (1) query up to floor(init_fraction * max_queries) fresh random pairs
-    among oracle-covered nodes; (2) repeatedly query all open forbidden
-    triads until closure. Every oracle call, closure included, costs budget.
+    (1) query up to half the budget (max_queries // 2, at least 1) in fresh
+    random pairs among oracle-covered nodes; (2) repeatedly query all open
+    forbidden triads until closure. Every oracle call, closure included, costs
+    budget.
     No pair is ever queried twice. A closure round that the remaining budget
     cuts takes the first open pairs in sorted order. Each round goes to
     one add_pairs call, which takes the oracle's answers lazily, one per
     pair, in order.
     """
-    check_init_fraction(init_fraction)
     if rng is None:
         rng = random.Random()
     store = ConstraintStore()
@@ -292,7 +285,7 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
     if max_q == 0 or len(eligible) < 2:
         return store
     total_pairs = len(eligible) * (len(eligible) - 1) // 2
-    chunk = max(1, int(init_fraction * max_q))
+    chunk = max(1, max_q // 2)
 
     while store.queries_used < min(max_q, total_pairs):
         pairs = _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), store, rng)

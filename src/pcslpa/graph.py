@@ -241,12 +241,11 @@ class Cover:
         return f"Cover({len(self.communities)} communities, {len(self._membership)} nodes)"
 
 
-def load_cover(source, id_map: IdMap, min_size: int = 1, strict: bool = True) -> Cover:
+def load_cover(source, id_map: IdMap, strict: bool = True) -> Cover:
     """Load a cover: one community per line, whitespace-separated member tokens.
 
-    Communities smaller than min_size (after in-line de-duplication) are
-    dropped. Tokens absent from id_map raise ParseError when strict, otherwise
-    they are skipped with a warning.
+    Tokens absent from id_map raise ParseError when strict, otherwise they
+    are skipped with a warning, and a line left with no member is dropped.
     """
     comms: list[set[int]] = []
     for line_no, raw in enumerate(_iter_lines(source), start=1):
@@ -261,7 +260,7 @@ def load_cover(source, id_map: IdMap, min_size: int = 1, strict: bool = True) ->
                 raise ParseError(f"unknown node token {token!r}", line_no)
             else:
                 logger.warning("line %d: skipping unknown node token %r", line_no, token)
-        if len(members) >= min_size and members:
+        if members:
             comms.append(members)
     return Cover(comms)
 

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constrained import DEFAULT_REPAIR_EVERY, PcSlpaParams, run_pcslpa_report
-from .constraints import Budget, GroundTruthOracle, check_init_fraction, select_constraints
+from .constraints import Budget, GroundTruthOracle, select_constraints
 from .graph import Cover, Graph, load_cover, load_edge_list
 from .nmi import overlapping_nmi
 from .slpa import SlpaParams, run_slpa
 
 ALGO_SLPA = "slpa"
 ALGO_PCSLPA = "pcslpa"
-# node universes for scoring: the ground truth's covered nodes, or all nodes
-UNIVERSES = ("covered", "all")
 
 
 def mix_seed(base: int, *tokens: str) -> int:
@@ -44,9 +42,6 @@ class ExperimentConfig:
     threshold: float = SlpaParams.threshold
     runs: int = 20
     seed: int = 12345
-    min_comm_size: int = 1
-    universe: str = "covered"
-    init_fraction: float = 0.5
     repair_every: int = DEFAULT_REPAIR_EVERY
     network_id: str = ""
 
@@ -55,17 +50,14 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.algorithm not in (ALGO_SLPA, ALGO_PCSLPA):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.universe not in UNIVERSES:
-            raise ValueError(f"unknown universe mode {self.universe!r}")
         if any(not 0.0 <= p <= 1.0 for p in self.budget_pcts):
             raise ValueError("budget fractions must lie in [0, 1]")
         if len(set(self.budget_pcts)) != len(self.budget_pcts):
             raise ValueError("budget fractions must not repeat")
-        if self.algorithm == ALGO_PCSLPA and not self.budget_pcts:
-            raise ValueError("pcslpa experiments need at least one budget fraction")
-        # the propagation and selection settings, checked by their own types
+        if (self.algorithm == ALGO_PCSLPA) != bool(self.budget_pcts):
+            raise ValueError("pcslpa needs at least one budget fraction, and slpa takes none")
+        # the propagation settings, checked by their own type
         PcSlpaParams(SlpaParams(self.iterations, self.threshold), self.repair_every)
-        check_init_fraction(self.init_fraction)
         if not self.network_id:
             object.__setattr__(self, "network_id", Path(self.edges).stem)
 
@@ -91,7 +83,7 @@ def load_experiment_inputs(cfg: ExperimentConfig) -> tuple[Graph, Cover]:
     except OSError as e:
         raise RuntimeError(f"cannot load network {cfg.edges}: {e}") from e
     try:
-        truth = load_cover(cfg.truth, g.ids, min_size=cfg.min_comm_size)
+        truth = load_cover(cfg.truth, g.ids)
     except OSError as e:
         raise RuntimeError(f"cannot load ground truth {cfg.truth}: {e}") from e
     return g, truth
@@ -109,10 +101,9 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
     """One (algorithm, budget, run) cell; returns (RunResult, Cover, store).
 
     The store is None for the unsupervised algorithm. Seeds are derived per
-    cell, never shared.
+    cell, never shared. The NMI is taken over the ground truth's nodes.
     """
     seed = derive_seed(cfg.seed, pct, run_index)
-    universe = truth.nodes() if cfg.universe == "covered" else set(range(g.n))
     base = SlpaParams(iterations=cfg.iterations, threshold=cfg.threshold, seed=seed)
     started = time.perf_counter()
     if algo == ALGO_SLPA:
@@ -123,12 +114,12 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
         oracle = GroundTruthOracle(truth)
         budget = Budget.from_fraction(pct, len(truth.nodes()))
         select_rng = random.Random(mix_seed(seed, "select"))
-        store = select_constraints(g, oracle, budget, cfg.init_fraction, select_rng)
+        store = select_constraints(g, oracle, budget, select_rng)
         cover, report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=cfg.repair_every))
         counters = (report.ml_exchanges, report.ml_blocked_transfers,
                     report.cl_deletions, report.cl_guard_exceptions, report.label_merges)
     ms = (time.perf_counter() - started) * 1000.0
-    score = overlapping_nmi(truth, cover, universe)
+    score = overlapping_nmi(truth, cover, truth.nodes())
     return RunResult(cfg.network_id, algo, pct, seed, score, ms, *counters), cover, store
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import re
+from pathlib import Path
 
 import pytest
 
@@ -76,18 +78,31 @@ def test_nmi_merged_cover_scores_half(planted, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.500000"
 
 
-@pytest.mark.parametrize("with_edges", [False, True])
-def test_nmi_rejects_an_unknown_universe_from_config(planted, tmp_path, capsys, with_edges):
+def test_nmi_with_edges_rejects_a_token_that_names_no_node(planted, tmp_path, capsys):
     edges, truth = planted
-    args = tmp_path / "nmi.args"
-    args.write_text("--universe half\n")
-    argv = ["nmi", str(truth), "--truth", str(truth), f"@{args}"]
-    if with_edges:
-        argv += ["--edges", str(edges)]
+    cover = tmp_path / "cover.txt"
+    cover.write_text("0 1 99\n")
+    assert main(["nmi", str(cover), "--truth", str(truth), "--edges", str(edges)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: unknown node token '99'\n"
+    # without --edges the tokens of both covers are the node ids
+    assert main(["nmi", str(cover), "--truth", str(truth)]) == 0
+
+
+@pytest.mark.parametrize("in_file", [False, True])
+def test_an_invalid_choice_is_an_error_in_an_argument_file_too(planted, tmp_path, capsys,
+                                                                in_file):
+    edges, truth = planted
+    args = tmp_path / "run.args"
+    args.write_text("--algo half\n")
+    argv = ["run", "--edges", str(edges), "--truth", str(truth),
+            *([f"@{args}"] if in_file else ["--algo", "half"]), "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --universe: invalid choice: 'half'" in captured.err
+    assert "argument --algo: invalid choice: 'half'" in captured.err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_select_constraints_round_trips(planted, tmp_path):
@@ -132,12 +147,27 @@ def test_sweep_loads_each_network_once(planted, tmp_path, monkeypatch):
     assert (tmp_path / "s.csv").read_text().splitlines()[0] == "network,slpa,pcslpa@0.05,pcslpa@0.1"
 
 
+def test_sweep_rejects_a_repeated_network_name_before_any_load(planted, tmp_path, monkeypatch,
+                                                               capsys):
+    edges, truth = planted
+    loaded = []
+    load = harness.load_edge_list
+    monkeypatch.setattr(harness, "load_edge_list", lambda path: loaded.append(path) or load(path))
+    rc = main(["sweep", "--net", "a", str(edges), str(truth), "--net", "b", str(edges), str(truth),
+               "--net", "a", str(edges), str(truth), "--T", "5", "--runs", "2",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert loaded == []
+    assert capsys.readouterr().err == "error: each --net needs its own NAME; repeated: a\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("command, bad", [
-    ("sweep", ["--budget-pct", "0.05", "--init-fraction", "0"]),
+    ("sweep", ["--runs", "0"]),
     ("sweep", ["--budget-pct", "0.05", "--repair-every", "0"]),
     ("sweep", ["--budget-pct", "0.05", "--budget-pct", "0.05"]),
     ("sweep", ["--T", "0"]),
-    ("run", ["--algo", "slpa", "--init-fraction", "7"]),
+    ("run", ["--algo", "slpa", "--budget-pct", "0.05"]),
     ("run", ["--algo", "slpa", "--repair-every", "-3"]),
     ("run", ["--algo", "pcslpa", "--budget-pct", "0.05", "--budget-pct", "0.05"]),
     ("run", ["--algo", "slpa", "--r", "2"]),
@@ -147,8 +177,9 @@ def test_a_bad_experiment_setting_fails_before_any_cell_runs(planted, tmp_path, 
     edges, truth = planted
     cells = []
     monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
-    rc = main([command, "--edges", str(edges), "--truth", str(truth), "--runs", "2", *bad,
-               "--out", str(tmp_path / "r.csv")])
+    network = (["--edges", str(edges), "--truth", str(truth)] if command == "run"
+               else ["--net", "toy", str(edges), str(truth)])
+    rc = main([command, *network, "--runs", "2", *bad, "--out", str(tmp_path / "r.csv")])
     assert rc == 2
     assert cells == []
     assert capsys.readouterr().err.startswith("error: ")
@@ -238,15 +269,29 @@ def test_gen_planted_rejects_bad_parameters(tmp_path):
     assert rc == 2
 
 
+def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_option_of_every_subcommand_has_help():
     parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subcommands = _subcommands(parser)
     missing = []
-    for name, sub in [("pcslpa", parser)] + sorted(subparsers.choices.items()):
+    for name, sub in [("pcslpa", parser)] + sorted(subcommands.items()):
         for action in sub._actions:
             if isinstance(action, argparse._SubParsersAction):
                 continue
             if not (action.help or "").strip():
                 missing.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
-    assert len(subparsers.choices) == 7
+    assert len(subcommands) == 7
     assert missing == []
+
+
+def test_readme_names_exactly_the_flags_that_run_and_sweep_share():
+    subcommands = _subcommands(build_parser())
+    run, sweep = ({o for a in subcommands[name]._actions for o in a.option_strings}
+                  for name in ("run", "sweep"))
+    shared = (run & sweep) - {"-h", "--help"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Flags shared by experiment commands", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(--[\w-]+)", paragraph)) == shared

@@ -51,7 +51,7 @@ def planted76(tmp_path_factory):
 def sweep_digest(edges, truth, out_dir, repair_every: int) -> str:
     """SHA-256 of the raw CSV followed by the report of one sweep."""
     raw, report = out_dir / "raw.csv", out_dir / "report.csv"
-    rc = main(["sweep", "--edges", str(edges), "--truth", str(truth),
+    rc = main(["sweep", "--net", "planted76", str(edges), str(truth),
                "--budget-pct", "0.01", "--budget-pct", "0.05", "--runs", str(RUNS),
                "--repair-every", str(repair_every),
                "--no-timing", "--raw-out", str(raw), "--out", str(report)])

@@ -163,12 +163,6 @@ def test_load_cover_strict_and_lenient():
     assert [set(c) for c in lenient.communities] == [{0}, {1, 2}]
 
 
-def test_load_cover_min_size_filter():
-    ids = IdMap.identity(5)
-    cover = load_cover(io.StringIO("0 1 2\n3\n4 0\n"), ids, min_size=2)
-    assert sorted(len(c) for c in cover.communities) == [2, 3]
-
-
 def test_cover_round_trip():
     rng = random.Random(7)
     ids = IdMap()

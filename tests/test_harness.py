@@ -67,12 +67,12 @@ def test_config_validation_and_network_id(planted_files):
     with pytest.raises(ValueError):
         ExperimentConfig(edges=edges, truth=cover, algorithm="pcslpa")
     with pytest.raises(ValueError):
-        ExperimentConfig(edges=edges, truth=cover, universe="half")
+        ExperimentConfig(edges=edges, truth=cover, budget_pcts=(0.05,))
 
 
 def test_experiment_cells_orderings(planted_files):
     edges, cover = planted_files
-    slpa_cfg = ExperimentConfig(edges=edges, truth=cover, budget_pcts=(0.05,))
+    slpa_cfg = ExperimentConfig(edges=edges, truth=cover)
     assert experiment_cells(slpa_cfg) == [("slpa", 0.0)]
     pc_cfg = ExperimentConfig(edges=edges, truth=cover, algorithm="pcslpa",
                               budget_pcts=(0.05, 0.01))
