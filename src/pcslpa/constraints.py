@@ -8,10 +8,14 @@ partner index, and builds the set of open pairs when it is read, once per
 closure round, from the must-links stored since the previous read.
 
 Each round, random or closure, is stored through the store's one insertion
-path, `ConstraintStore.add_pairs`, in one call that asks the oracle about
-each pair just before storing it. The random sampler draws its indices by
-the rejection loop that CPython's `Random.randrange` runs, so it consumes
-the same random stream and picks the same pairs as `randrange` would.
+path, `ConstraintStore.add_pairs`, in one call that reads the oracle's
+answers for the round (`Oracle.answers`) lazily, each just before its pair
+is stored. The random sampler draws its indices by the rejection loop that
+CPython's `Random.randrange` runs, so it consumes the same random stream and
+picks the same pairs as `randrange` would. A dense round, one that asks for
+at least half the leftover pool, runs `random.sample`'s pool algorithm
+written out with that loop, so it picks the same pairs as `random.sample`
+and does not depend on how a Python version implements `sample`.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import logging
 import random
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
+from itertools import repeat, starmap
 from operator import itemgetter
 
 from .graph import Cover, Graph, IdMap, ParseError, _iter_lines, _open_sink
@@ -148,20 +152,29 @@ class ConstraintStore:
 class Oracle:
     """Supervision source answering pairwise queries.
 
-    covered_nodes() bounds which nodes may be queried; None means every node
-    is eligible.
+    covered_nodes() is the set of nodes the oracle can answer for; selection
+    draws only among them. Selection asks a whole round through answers(),
+    whose default asks answer() about each pair once, in order, and lazily,
+    so a subclass that overrides only answer() sees every query.
     """
 
     def answer(self, u: int, v: int) -> Relation:
         raise NotImplementedError
 
-    def covered_nodes(self) -> frozenset[int] | None:
-        return None
+    def answers(self, pairs: Iterable[tuple[int, int]]) -> Iterator[Relation]:
+        """The relation of each pair, in order, computed as it is read."""
+        return starmap(self.answer, pairs)
+
+    def covered_nodes(self) -> frozenset[int]:
+        raise NotImplementedError
 
 
 class GroundTruthOracle(Oracle):
     """Noiseless oracle simulated from a ground-truth cover: must-link iff the
-    two nodes share at least one community."""
+    two nodes share at least one community.
+
+    answers() computes the relations itself rather than through answer(), so
+    a subclass that changes the answers must override answers() too."""
 
     def __init__(self, truth: Cover):
         self._memberships = {v: frozenset(truth.memberships(v)) for v in truth.nodes()}
@@ -177,6 +190,18 @@ class GroundTruthOracle(Oracle):
         if mv is None:
             raise ValueError(f"node {v} belongs to no ground-truth community")
         return Relation.CANNOT_LINK if mu.isdisjoint(mv) else Relation.MUST_LINK
+
+    def answers(self, pairs: Iterable[tuple[int, int]]) -> Iterator[Relation]:
+        get = self._memberships.get
+        must_link, cannot_link = Relation.MUST_LINK, Relation.CANNOT_LINK
+        for u, v in pairs:
+            mu = get(u)
+            mv = get(v)
+            if mu is None or mv is None or u == v:
+                # a query answer() rejects: raise its error
+                yield self.answer(u, v)
+            else:
+                yield cannot_link if mu.isdisjoint(mv) else must_link
 
     def covered_nodes(self) -> frozenset[int]:
         return self._covered
@@ -234,15 +259,31 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
     if count <= 0:
         return []
     ml, cl = store.partners[Relation.MUST_LINK], store.partners[Relation.CANNOT_LINK]
+    getrandbits = rng.getrandbits
     if count * 2 >= remaining:
-        # dense request: materialize the leftover pool
-        pool = [(u, v) for i, u in enumerate(eligible) for v in eligible[i + 1:]
-                if v not in ml.get(u, ()) and v not in cl.get(u, ())]
-        return rng.sample(pool, count)
+        # dense request: materialize the leftover pool in pair order, each
+        # node's later unrelated nodes by one set difference
+        later = set(eligible)
+        pool: list[tuple[int, int]] = []
+        for u in eligible:
+            later.discard(u)
+            pool.extend(zip(repeat(u), sorted(later.difference(ml.get(u, ()), cl.get(u, ())))))
+        # random.sample's pool algorithm, which it runs whenever count is at
+        # least half the pool, each index j < m drawn by the rejection loop
+        # of sample's _randbelow: the same words, so the same pairs
+        picked: list[tuple[int, int]] = []
+        for m in range(len(pool), len(pool) - count, -1):
+            k = m.bit_length()
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            picked.append(pool[j])
+            pool[j] = pool[m - 1]
+        return picked
     # each index is rng.randrange(n) by its own rejection loop, the one
     # CPython runs: the same words, so the same pairs
-    getrandbits, k = rng.getrandbits, n.bit_length()
-    picked: list[tuple[int, int]] = []
+    k = n.bit_length()
+    picked = []
     seen: set[tuple[int, int]] = set()
     while len(picked) < count:
         i = getrandbits(k)
@@ -263,7 +304,7 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
 
 
 def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
-                       rng: random.Random | None = None) -> ConstraintStore:
+                       rng: random.Random) -> ConstraintStore:
     """Budgeted constraint selection: random seeding plus triad closure.
 
     Rounds alternate until the budget or the eligible pair pool runs out:
@@ -273,14 +314,11 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
     budget.
     No pair is ever queried twice. A closure round that the remaining budget
     cuts takes the first open pairs in sorted order. Each round goes to
-    one add_pairs call, which takes the oracle's answers lazily, one per
-    pair, in order.
+    one add_pairs call, which reads the oracle's answers for the round
+    (oracle.answers) lazily, one per pair, in order.
     """
-    if rng is None:
-        rng = random.Random()
     store = ConstraintStore()
-    covered = oracle.covered_nodes()
-    eligible = sorted(range(g.n)) if covered is None else sorted(v for v in covered if 0 <= v < g.n)
+    eligible = sorted(v for v in oracle.covered_nodes() if 0 <= v < g.n)
     max_q = budget.max_queries
     if max_q == 0 or len(eligible) < 2:
         return store
@@ -289,13 +327,13 @@ def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
 
     while store.queries_used < min(max_q, total_pairs):
         pairs = _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), store, rng)
-        store.add_pairs(pairs, starmap(oracle.answer, pairs))
+        store.add_pairs(pairs, oracle.answers(pairs))
         while store.queries_used < max_q:
             # pairs opened while a round is queried wait for the next round
             pairs = find_forbidden_triads(store, max_q - store.queries_used)
             if not pairs:
                 break
-            store.add_pairs(pairs, starmap(oracle.answer, pairs))
+            store.add_pairs(pairs, oracle.answers(pairs))
     return store
 
 

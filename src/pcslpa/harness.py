@@ -3,6 +3,7 @@ aggregation, CSV reports, win-loss tables, and ground-truth preprocessing."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import random
@@ -165,23 +166,30 @@ def summarize(results: list[RunResult]) -> list[CellSummary]:
     return out
 
 
+def _csv_text(rows: list[list[str]]) -> str:
+    """The rows as CSV lines ending in "\n"; a field that holds a comma or a
+    quote is quoted, so csv.reader reads it back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def results_csv(results: list[RunResult], include_timing: bool = True) -> str:
     """Raw per-run CSV. Timing can be dropped for byte-stable comparisons."""
-    buf = io.StringIO()
     headers = ["network", "algo", "pct", "seed", "nmi"]
     if include_timing:
         headers.append("ms")
     headers += ["ml_exchanges", "ml_blocked_transfers", "cl_deletions", "cl_guard_exceptions",
                 "label_merges"]
-    buf.write(",".join(headers) + "\n")
+    rows = [headers]
     for r in results:
         row = [r.network, r.algo, f"{r.pct:g}", str(r.seed), f"{r.nmi:.6f}"]
         if include_timing:
             row.append(f"{r.ms:.3f}")
         row += [str(r.ml_exchanges), str(r.ml_blocked_transfers),
                 str(r.cl_deletions), str(r.cl_guard_exceptions), str(r.label_merges)]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+        rows.append(row)
+    return _csv_text(rows)
 
 
 def sweep_report(results: list[RunResult]) -> str:
@@ -193,15 +201,14 @@ def sweep_report(results: list[RunResult]) -> str:
                    key=lambda c: (0, 0.0) if c[0] == ALGO_SLPA else (1, c[1]))
     networks = sorted({s.network for s in summaries})
     by_key = {(s.network, s.algo, s.pct): s for s in summaries}
-    buf = io.StringIO()
-    buf.write(",".join(["network"] + [_cell_label(a, p) for a, p in cells]) + "\n")
+    rows = [["network"] + [_cell_label(a, p) for a, p in cells]]
     for network in networks:
         row = [network]
         for algo, pct in cells:
             s = by_key.get((network, algo, pct))
             row.append(f"{s.mean_nmi:.4f}" if s is not None else "")
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+        rows.append(row)
+    return _csv_text(rows)
 
 
 @dataclass(frozen=True)
@@ -215,16 +222,15 @@ class WinLossTable:
     networks: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(["algorithm"] + self.algorithms + ["total_wins", "rank_score", "rank"]) + "\n")
+        rows = [["algorithm"] + self.algorithms + ["total_wins", "rank_score", "rank"]]
         denom = self.networks * (len(self.algorithms) - 1)
         for i, name in enumerate(self.algorithms):
             row = [name] + [str(w) for w in self.wins[i]]
             row.append(f"{self.total_wins[i]}/{denom}")
             row.append(f"{self.rank_scores[i]:.4f}")
             row.append(str(self.ranks[i]))
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+            rows.append(row)
+        return _csv_text(rows)
 
     def to_text(self) -> str:
         denom = self.networks * (len(self.algorithms) - 1)
@@ -303,8 +309,12 @@ def filter_truth(g: Graph, cover: Cover, keep_largest: int = 5000,
 
     Keeps the keep_largest biggest communities, optionally discards the bottom
     quartile by internal density, collapses duplicates, and drops communities
-    below min_size.
+    below min_size. Both keep_largest and min_size must be at least 1.
     """
+    if keep_largest < 1:
+        raise ValueError(f"keep_largest must be at least 1, got {keep_largest}")
+    if min_size < 1:
+        raise ValueError(f"min_size must be at least 1, got {min_size}")
     comms = sorted(cover.communities, key=lambda c: (-len(c), sorted(c)))[:keep_largest]
     if drop_density_quartile and comms:
         ranked = sorted(comms, key=lambda c: (internal_density(g, c), sorted(c)))

@@ -197,6 +197,17 @@ def test_winloss_reads_sweep_matrix(tmp_path, capsys):
     assert out.read_text().startswith("algorithm,")
 
 
+def test_winloss_reads_a_sweep_with_a_comma_in_a_network_name(planted, tmp_path, capsys):
+    edges, truth = planted
+    report = tmp_path / "sweep.csv"
+    assert main(["sweep", "--net", "x", str(edges), str(truth), "--net", "a,b", str(edges), str(truth),
+                 "--budget-pct", "0.05", "--T", "10", "--runs", "2", "--out", str(report)]) == 0
+    assert report.read_text().splitlines()[1].startswith('"a,b",')
+    capsys.readouterr()
+    assert main(["winloss", str(report)]) == 0
+    assert "total wins" in capsys.readouterr().out
+
+
 def test_winloss_rejects_ragged_matrix(tmp_path):
     sweep = tmp_path / "bad.csv"
     sweep.write_text("network,alg1,alg2\nnet1,0.9\n")
@@ -213,6 +224,20 @@ def test_filter_truth_subcommand(tmp_path):
                "--min-comm-size", "3", "--keep-sparse", "--out", str(out)])
     assert rc == 0
     assert out.read_text().splitlines() == ["0 1 2"]
+
+
+@pytest.mark.parametrize("flag", ["--keep-largest=0", "--keep-largest=-1", "--min-comm-size=0"])
+def test_filter_truth_rejects_a_bound_below_one(tmp_path, capsys, flag):
+    edges = tmp_path / "e.txt"
+    edges.write_text("0 1\n1 2\n0 2\n3 4\n")
+    truth = tmp_path / "t.txt"
+    truth.write_text("0 1 2\n3 4\n")
+    out = tmp_path / "f.txt"
+    rc = main(["filter-truth", "--edges", str(edges), "--truth", str(truth), flag,
+               "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults_and_flags_override(planted, tmp_path):

@@ -189,6 +189,45 @@ def test_ground_truth_oracle_answers():
         oracle.answer(2, 2)
 
 
+def test_ground_truth_oracle_answers_a_round_as_answer_does():
+    g, truth = _fixture()
+    oracle = GroundTruthOracle(truth)
+    nodes = sorted(oracle.covered_nodes())
+    rng = random.Random(11)
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(500)]
+    assert list(oracle.answers(pairs)) == [oracle.answer(u, v) for u, v in pairs]
+    assert list(oracle.answers([])) == []
+
+
+@pytest.mark.parametrize("bad", [(1, 9), (9, 1), (2, 2)])
+def test_ground_truth_oracle_rejects_a_bad_query_where_answer_does(bad):
+    oracle = GroundTruthOracle(Cover([{1, 2, 3}, {3, 4, 5}]))
+    with pytest.raises(ValueError) as want:
+        oracle.answer(*bad)
+    relations = oracle.answers([(1, 2), bad, (3, 4)])
+    assert next(relations) is Relation.MUST_LINK
+    with pytest.raises(ValueError) as got:
+        next(relations)
+    assert str(got.value) == str(want.value)
+    # stored through a round, the pairs before the bad one stay stored
+    store = ConstraintStore()
+    round_pairs = [(1, 2), (1, 9), (3, 4)]
+    with pytest.raises(ValueError, match="node 9 belongs to no ground-truth community"):
+        store.add_pairs(round_pairs, oracle.answers(round_pairs))
+    assert store.queries_used == 1 and (1, 2) in store
+
+
+def test_an_oracle_that_overrides_only_answer_is_asked_each_pair_once_in_order():
+    oracle = CountingOracle(GroundTruthOracle(Cover([{1, 2, 3}, {3, 4, 5}])))
+    pairs = [(1, 2), (2, 5), (3, 4), (1, 4)]
+    relations = oracle.answers(pairs)
+    assert oracle.queried == []
+    assert next(relations) is Relation.MUST_LINK
+    assert oracle.queried == pairs[:1]
+    assert list(relations) == [Relation.CANNOT_LINK, Relation.MUST_LINK, Relation.CANNOT_LINK]
+    assert oracle.queried == pairs
+
+
 def test_budget_floor_is_exact_in_decimal():
     assert Budget.from_fraction(0.01, 1000).max_queries == 4995
     # float floor would give 1994 and 7307 here
@@ -360,6 +399,26 @@ def _fixture():
     return g, truth
 
 
+def test_a_dense_draw_is_random_sample_written_out():
+    # every pool of 1 to 200 leftover pairs, and every count of at least half
+    # of it: the pool branch of random.sample, on one stream per pool
+    for size in range(1, 201):
+        n = 2
+        while n * (n - 1) // 2 < size:
+            n += 1
+        eligible = [3 * v + 1 for v in range(n)]
+        pairs = list(itertools.combinations(eligible, 2))
+        setup = random.Random(size)
+        store = ConstraintStore()
+        for pair in setup.sample(pairs, len(pairs) - size):
+            store.add(*pair, setup.choice(list(Relation)))
+        pool = [pair for pair in pairs if pair not in store]
+        got_rng, want_rng = random.Random(size), random.Random(size)
+        for count in range((size + 1) // 2, size + 1):
+            assert _sample_unqueried_pairs(eligible, count, store, got_rng) == want_rng.sample(pool, count)
+            assert got_rng.getstate() == want_rng.getstate()
+
+
 def test_selection_respects_budget_exactly():
     g, truth = _fixture()
     oracle = CountingOracle(GroundTruthOracle(truth))
@@ -461,7 +520,7 @@ def test_selection_on_a_large_sparse_graph_with_small_truth():
 def test_selection_with_a_zero_budget_stores_nothing():
     g, truth = _fixture()
     store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget.from_fraction(0.0, g.n))
+                               Budget.from_fraction(0.0, g.n), rng=random.Random(0))
     assert store.queries_used == 0 and not store.ml | store.cl
 
 

@@ -3,6 +3,8 @@ aggregation, and ground-truth preprocessing."""
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
@@ -185,6 +187,18 @@ def test_sweep_report_orders_cells_and_networks():
     assert sweep_report(list(rows)) == report
 
 
+def test_a_comma_in_a_name_is_quoted_in_every_csv():
+    rows = [RunResult("a,b", "slpa", 0.0, 1, 0.5, 1.0),
+            RunResult("a,b", "pcslpa", 0.05, 1, 0.75, 1.0)]
+    for text in (results_csv(rows), results_csv(rows, include_timing=False), sweep_report(rows)):
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert {len(row) for row in parsed} == {len(parsed[0])}
+        assert [row[0] for row in parsed[1:]] == ["a,b"] * (len(parsed) - 1)
+    assert sweep_report(rows).splitlines()[1] == '"a,b",0.5000,0.7500'
+    table = win_loss_table({"x,y": [0.9], "z": [0.1]})
+    assert list(csv.reader(io.StringIO(table.to_csv())))[1][0] == "x,y"
+
+
 def test_win_loss_counts_frozen_example():
     table = win_loss_table({"A": [0.9, 0.8, 0.5], "B": [0.7, 0.85, 0.5]})
     assert table.algorithms == ["A", "B"]
@@ -253,6 +267,14 @@ def test_filter_truth_keeps_largest_and_drops_sparse_quartile():
     kept = filter_truth(g, cover, keep_largest=10, min_size=1)
     assert {frozenset(c) for c in kept.communities} == {
         frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})}
+
+
+@pytest.mark.parametrize("bounds", [{"keep_largest": 0}, {"keep_largest": -1}, {"min_size": 0}])
+def test_filter_truth_rejects_a_bound_below_one(bounds):
+    g = build_graph(10, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    cover = Cover([{0, 1, 2, 3, 4}, {5, 6}, {7, 8, 9}])
+    with pytest.raises(ValueError, match="must be at least 1"):
+        filter_truth(g, cover, **bounds)
 
 
 def test_filter_truth_size_cap_and_floor():
