@@ -18,6 +18,8 @@ Any argument `@FILE` is replaced by the arguments written in FILE
 runs to the end of the line. A flag read from a file behaves exactly as on the
 command line, and a later flag overrides an earlier one, so
 `pcslpa run @exp.args --runs 3` takes everything from exp.args but the runs.
+The repeatable flags, `--net` and the `--budget-pct` of run and sweep,
+accumulate instead.
 """
 
 from __future__ import annotations
@@ -131,9 +133,7 @@ def cmd_sweep(args) -> int:
             results += run_experiment(cfg, inputs)
     _write_output(args.out, sweep_report(results))
     if args.raw_out:
-        Path(args.raw_out).write_text(
-            results_csv(results, include_timing=not args.no_timing), encoding="utf-8")
-        logger.info("wrote %s", args.raw_out)
+        _write_output(args.raw_out, results_csv(results, include_timing=not args.no_timing))
     return 0
 
 
@@ -162,11 +162,9 @@ def cmd_nmi(args) -> int:
 
 
 def cmd_select_constraints(args) -> int:
-    if len(args.budget_pct) != 1:
-        raise ValueError("select-constraints needs exactly one --budget-pct")
     g = load_edge_list(args.edges)
     truth = load_cover(args.truth, g.ids)
-    budget = Budget.from_fraction(args.budget_pct[0], len(truth.nodes()))
+    budget = Budget.from_fraction(args.budget_pct, len(truth.nodes()))
     rng = random.Random(mix_seed(args.seed, "select"))
     store = select_constraints(g, GroundTruthOracle(truth), budget, rng)
     logger.info("selected %d constraints (budget %d)", store.queries_used, budget.max_queries)
@@ -224,8 +222,7 @@ def cmd_winloss(args) -> int:
     table = win_loss_table(scores)
     sys.stdout.write(table.to_text())
     if args.out:
-        Path(args.out).write_text(table.to_csv(), encoding="utf-8")
-        logger.info("wrote %s", args.out)
+        _write_output(args.out, table.to_csv())
     return 0
 
 
@@ -274,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, help="edge list file, 'u v' per line")
     p.add_argument("--truth", required=True,
                    help="ground-truth cover that answers the queries, one community per line")
-    p.add_argument("--budget-pct", action="append", type=float, required=True,
-                   help="query budget as a fraction of the pairs of the ground truth's "
-                        "nodes; give exactly one")
+    p.add_argument("--budget-pct", type=float, required=True,
+                   help="query budget as a fraction of the pairs of the ground truth's nodes")
     p.add_argument("--seed", type=int, default=DEFAULTS.seed,
                    help="seed of the query order (default %(default)s)")
     p.add_argument("--out", default=None,

@@ -9,10 +9,10 @@ import io
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .constrained import DEFAULT_REPAIR_EVERY, PcSlpaParams, run_pcslpa_report
+from .constrained import DEFAULT_REPAIR_EVERY, PcSlpaParams, RepairReport, run_pcslpa_report
 from .constraints import Budget, GroundTruthOracle, select_constraints
 from .graph import Cover, Graph, load_cover, load_edge_list
 from .nmi import overlapping_nmi
@@ -65,6 +65,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One (algorithm, budget, run) cell, one row of the per-run CSV; its
+    fields, in order, are the CSV's columns.
+
+    network is the network's name, algo the algorithm, pct the budget as a
+    fraction of the pairs of the ground truth's nodes (0 for slpa), seed the
+    cell's derived seed and nmi its score against the ground truth. ms is the
+    wall time of selection, propagation and post-processing in milliseconds;
+    scoring is not included, as run_cell stops the clock before
+    overlapping_nmi. The fields after ms, ml_exchanges through label_merges,
+    are RepairReport's counters in RepairReport's order, all 0 for slpa.
+    """
+
     network: str
     algo: str
     pct: float
@@ -109,19 +121,16 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
     started = time.perf_counter()
     if algo == ALGO_SLPA:
         store = None
-        cover = run_slpa(g, base)
-        counters = (0, 0, 0, 0, 0)
+        cover, report = run_slpa(g, base), RepairReport()
     else:
         oracle = GroundTruthOracle(truth)
         budget = Budget.from_fraction(pct, len(truth.nodes()))
         select_rng = random.Random(mix_seed(seed, "select"))
         store = select_constraints(g, oracle, budget, select_rng)
         cover, report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=cfg.repair_every))
-        counters = (report.ml_exchanges, report.ml_blocked_transfers,
-                    report.cl_deletions, report.cl_guard_exceptions, report.label_merges)
     ms = (time.perf_counter() - started) * 1000.0
     score = overlapping_nmi(truth, cover, truth.nodes())
-    return RunResult(cfg.network_id, algo, pct, seed, score, ms, *counters), cover, store
+    return RunResult(cfg.network_id, algo, pct, seed, score, ms, **asdict(report)), cover, store
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -174,21 +183,16 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+_CSV_FORMATS = {"pct": "{:g}".format, "nmi": "{:.6f}".format, "ms": "{:.3f}".format}
+
+
 def results_csv(results: list[RunResult], include_timing: bool = True) -> str:
-    """Raw per-run CSV. Timing can be dropped for byte-stable comparisons."""
-    headers = ["network", "algo", "pct", "seed", "nmi"]
-    if include_timing:
-        headers.append("ms")
-    headers += ["ml_exchanges", "ml_blocked_transfers", "cl_deletions", "cl_guard_exceptions",
-                "label_merges"]
-    rows = [headers]
-    for r in results:
-        row = [r.network, r.algo, f"{r.pct:g}", str(r.seed), f"{r.nmi:.6f}"]
-        if include_timing:
-            row.append(f"{r.ms:.3f}")
-        row += [str(r.ml_exchanges), str(r.ml_blocked_transfers),
-                str(r.cl_deletions), str(r.cl_guard_exceptions), str(r.label_merges)]
-        rows.append(row)
+    """Raw per-run CSV: a header of RunResult's field names, then one row per
+    result, each field written by its _CSV_FORMATS entry or else by str.
+    include_timing=False drops the ms column, for byte-stable comparisons."""
+    names = [f.name for f in fields(RunResult) if include_timing or f.name != "ms"]
+    rows = [names] + [[_CSV_FORMATS.get(name, str)(getattr(r, name)) for name in names]
+                      for r in results]
     return _csv_text(rows)
 
 

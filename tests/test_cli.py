@@ -115,10 +115,21 @@ def test_select_constraints_round_trips(planted, tmp_path):
     # floor(0.05 * 17*16/2) = 6 queries
     assert len(lines) == 6
     assert all(l.split()[2] in ("ML", "CL") for l in lines)
-    # one budget only
-    rc = main(["select-constraints", "--edges", str(edges), "--truth", str(truth),
-               "--budget-pct", "0.05", "--budget-pct", "0.1", "--out", str(out)])
-    assert rc == 2
+
+
+def test_select_constraints_takes_the_later_budget(planted, tmp_path):
+    edges, truth = planted
+    args = tmp_path / "sel.args"
+    args.write_text("--budget-pct 0.05\n", encoding="utf-8")
+    base = ["select-constraints", "--edges", str(edges), "--truth", str(truth)]
+    outs = {}
+    for name, budgets in (("alone", ["--budget-pct", "0.2"]),
+                          ("file", [f"@{args}", "--budget-pct", "0.2"]),
+                          ("flags", ["--budget-pct", "0.05", "--budget-pct", "0.2"])):
+        outs[name] = tmp_path / f"{name}.txt"
+        assert main(base + budgets + ["--out", str(outs[name])]) == 0
+    assert outs["file"].read_bytes() == outs["alone"].read_bytes()
+    assert outs["flags"].read_bytes() == outs["alone"].read_bytes()
 
 
 def test_sweep_is_byte_stable(planted, tmp_path):

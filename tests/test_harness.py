@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -285,3 +286,18 @@ def test_filter_truth_size_cap_and_floor():
     floored = filter_truth(g, cover, keep_largest=10, drop_density_quartile=False, min_size=3)
     assert sorted(len(c) for c in floored.communities) == [3, 5]
 
+
+def test_run_result_columns_after_ms_are_the_repair_counters():
+    # a counter added to one type and not the other, or reordered, fails here
+    names = [f.name for f in fields(RunResult)]
+    assert names[names.index("ms") + 1:] == [f.name for f in fields(RepairReport)]
+
+
+def test_slpa_rows_carry_zero_counters(planted_files):
+    edges, cover = planted_files
+    results = run_experiment(ExperimentConfig(edges=edges, truth=cover, iterations=10,
+                                              runs=2, seed=5))
+    counters = [f.name for f in fields(RepairReport)]
+    assert all(getattr(r, name) == 0 for r in results for name in counters)
+    rows = list(csv.reader(io.StringIO(results_csv(results))))
+    assert all(row[-len(counters):] == ["0"] * len(counters) for row in rows[1:])
