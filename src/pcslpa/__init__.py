@@ -5,7 +5,7 @@ and a reproducible benchmark harness."""
 from .graph import Cover, Graph, IdMap, ParseError, build_graph, load_cover, load_edge_list, write_cover, write_edge_list
 from .slpa import LabelMemory, SlpaParams, run_slpa
 from .constraints import Budget, ConstraintStore, GroundTruthOracle, Oracle, Relation, find_forbidden_triads, select_constraints
-from .constrained import PcSlpaParams, RepairReport, run_pcslpa_report
+from .constrained import RepairReport, run_pcslpa_report
 from .nmi import CoverStats, cover_stats, overlapping_nmi
 from .planted import gen_planted_overlap
 from .harness import (
@@ -34,7 +34,6 @@ __all__ = [
     "LabelMemory",
     "Oracle",
     "ParseError",
-    "PcSlpaParams",
     "Relation",
     "RepairReport",
     "RunResult",

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands:
-  run                 one algorithm on one network, per-run CSV out
+  run                 slpa, or pcslpa at each --budget-pct, on one network;
+                      per-run CSV out
   sweep               slpa + budget sweep over networks named by --net
   nmi                 score a detected cover against a reference cover
   select-constraints  query the ground-truth oracle and save the pairs
@@ -28,6 +29,7 @@ import argparse
 import csv
 import io
 import logging
+import math
 import random
 import sys
 from pathlib import Path
@@ -75,7 +77,8 @@ def _write_output(out, text: str) -> None:
 def _add_common_experiment_flags(p) -> None:
     p.add_argument("--budget-pct", action="append", type=float, default=[],
                    help="constraint budget as a fraction of the pairs of the ground "
-                        "truth's nodes; repeatable")
+                        "truth's nodes; repeatable. pcslpa runs at each budget; run "
+                        "runs slpa instead when none is given, sweep runs slpa too")
     p.add_argument("--T", type=int, default=DEFAULTS.iterations,
                    help="label propagation passes (default %(default)s)")
     p.add_argument("--r", type=float, default=DEFAULTS.threshold,
@@ -84,9 +87,6 @@ def _add_common_experiment_flags(p) -> None:
                    help="independent runs per cell (default %(default)s)")
     p.add_argument("--seed", type=int, default=DEFAULTS.seed,
                    help="base seed, per-run seeds derived from it (default %(default)s)")
-    p.add_argument("--repair-every", type=int, default=DEFAULTS.repair_every,
-                   help="repair constraints after every k-th pass and after the last; "
-                        "k >= T repairs once (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -100,14 +100,14 @@ def _experiment_config(args, edges, truth, algo, pcts, network_id="") -> Experim
         threshold=args.r,
         runs=args.runs,
         seed=args.seed,
-        repair_every=args.repair_every,
         network_id=network_id,
     )
 
 
 def cmd_run(args) -> int:
+    algo = ALGO_PCSLPA if args.budget_pct else ALGO_SLPA
     results = run_experiment(_experiment_config(
-        args, args.edges, args.truth, args.algo, args.budget_pct))
+        args, args.edges, args.truth, algo, args.budget_pct))
     for s in summarize(results):
         logger.info("%s %s pct=%g mean_nmi=%.4f std=%.4f over %d runs",
                     s.network, s.algo, s.pct, s.mean_nmi, s.std_nmi, s.runs)
@@ -216,9 +216,14 @@ def cmd_winloss(args) -> int:
         if len(row) != len(header):
             raise ParseError(f"{args.sweep_csv}: row width mismatch", line_no)
         for name, cell in zip(header[1:], row[1:]):
-            if not cell:
-                raise ParseError(f"{args.sweep_csv}: empty score for {name} on {row[0]}", line_no)
-            scores[name].append(float(cell))
+            try:
+                score = float(cell)
+            except ValueError:
+                score = math.nan
+            if math.isnan(score):
+                raise ParseError(f"{args.sweep_csv}: score {cell!r} for {name} on {row[0]} "
+                                 "is not a number", line_no)
+            scores[name].append(score)
     table = win_loss_table(scores)
     sys.stdout.write(table.to_text())
     if args.out:
@@ -239,12 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="info logging to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one algorithm on one network")
+    p = sub.add_parser("run", help="slpa, or pcslpa at each budget, on one network")
     p.add_argument("--edges", required=True, help="edge list file, 'u v' per line")
     p.add_argument("--truth", required=True,
                    help="ground-truth cover, one community per line")
-    p.add_argument("--algo", choices=(ALGO_SLPA, ALGO_PCSLPA), default=DEFAULTS.algorithm,
-                   help="algorithm (default %(default)s)")
     p.add_argument("--no-timing", action="store_true",
                    help="omit the ms column for byte-stable output")
     _add_common_experiment_flags(p)

@@ -12,7 +12,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .constrained import DEFAULT_REPAIR_EVERY, PcSlpaParams, RepairReport, run_pcslpa_report
+from .constrained import RepairReport, run_pcslpa_report
 from .constraints import Budget, GroundTruthOracle, select_constraints
 from .graph import Cover, Graph, load_cover, load_edge_list
 from .nmi import overlapping_nmi
@@ -43,7 +43,6 @@ class ExperimentConfig:
     threshold: float = SlpaParams.threshold
     runs: int = 20
     seed: int = 12345
-    repair_every: int = DEFAULT_REPAIR_EVERY
     network_id: str = ""
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ class ExperimentConfig:
         if (self.algorithm == ALGO_PCSLPA) != bool(self.budget_pcts):
             raise ValueError("pcslpa needs at least one budget fraction, and slpa takes none")
         # the propagation settings, checked by their own type
-        PcSlpaParams(SlpaParams(self.iterations, self.threshold), self.repair_every)
+        SlpaParams(self.iterations, self.threshold)
         if not self.network_id:
             object.__setattr__(self, "network_id", Path(self.edges).stem)
 
@@ -99,6 +98,8 @@ def load_experiment_inputs(cfg: ExperimentConfig) -> tuple[Graph, Cover]:
         truth = load_cover(cfg.truth, g.ids)
     except OSError as e:
         raise RuntimeError(f"cannot load ground truth {cfg.truth}: {e}") from e
+    if not truth.communities:
+        raise ValueError(f"ground truth {cfg.truth} covers no node")
     return g, truth
 
 
@@ -127,7 +128,7 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
         budget = Budget.from_fraction(pct, len(truth.nodes()))
         select_rng = random.Random(mix_seed(seed, "select"))
         store = select_constraints(g, oracle, budget, select_rng)
-        cover, report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=cfg.repair_every))
+        cover, report = run_pcslpa_report(g, store, base)
     ms = (time.perf_counter() - started) * 1000.0
     score = overlapping_nmi(truth, cover, truth.nodes())
     return RunResult(cfg.network_id, algo, pct, seed, score, ms, **asdict(report)), cover, store

@@ -41,7 +41,7 @@ import pytest
 from conftest import record_criterion
 from test_nmi import as_sets, naive_overlapping_nmi, random_cover
 
-from pcslpa.constrained import PcSlpaParams, run_pcslpa_report
+from pcslpa.constrained import run_pcslpa_report
 from pcslpa.constraints import (
     Budget,
     ConstraintStore,
@@ -181,7 +181,7 @@ def test_criterion_3_empty_store_reduces_to_unsupervised(chain20_files):
     for seed in range(20):
         base = SlpaParams(iterations=100, threshold=0.1, seed=seed)
         if cover_key(run_slpa(g, base)) == cover_key(
-                run_pcslpa_report(g, ConstraintStore(), PcSlpaParams(base=base))[0]):
+                run_pcslpa_report(g, ConstraintStore(), base)[0]):
             equal += 1
     check(3, equal >= 18, f"identical covers on {equal}/20 matched seeds")
 

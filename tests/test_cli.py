@@ -35,7 +35,7 @@ def test_run_subcommand_writes_results_csv(planted, tmp_path):
     edges, truth = planted
     out = tmp_path / "results.csv"
     rc = main(["run", "--edges", str(edges), "--truth", str(truth),
-               "--algo", "slpa", "--T", "15", "--runs", "3", "--seed", "5",
+               "--T", "15", "--runs", "3", "--seed", "5",
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
@@ -46,14 +46,16 @@ def test_run_subcommand_writes_results_csv(planted, tmp_path):
 
 def test_run_constrained_needs_budget(planted, tmp_path):
     edges, truth = planted
-    rc = main(["run", "--edges", str(edges), "--truth", str(truth),
-               "--algo", "pcslpa", "--T", "10", "--runs", "2",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+    run = ["run", "--edges", str(edges), "--truth", str(truth), "--T", "10", "--runs", "2"]
+    unbudgeted, budgeted = tmp_path / "slpa.csv", tmp_path / "pcslpa.csv"
+    assert main(run + ["--out", str(unbudgeted)]) == 0
+    assert main(run + ["--budget-pct", "0.05", "--out", str(budgeted)]) == 0
+    assert [line.split(",")[1] for line in unbudgeted.read_text().splitlines()[1:]] == ["slpa"] * 2
+    assert [line.split(",")[1] for line in budgeted.read_text().splitlines()[1:]] == ["pcslpa"] * 2
 
 
 def test_run_missing_inputs_is_an_error(tmp_path):
-    rc = main(["run", "--algo", "slpa", "--out", str(tmp_path / "x.csv")])
+    rc = main(["run", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
 
 
@@ -95,13 +97,13 @@ def test_an_invalid_choice_is_an_error_in_an_argument_file_too(planted, tmp_path
                                                                 in_file):
     edges, truth = planted
     args = tmp_path / "run.args"
-    args.write_text("--algo half\n")
+    args.write_text("--T ten\n")
     argv = ["run", "--edges", str(edges), "--truth", str(truth),
-            *([f"@{args}"] if in_file else ["--algo", "half"]), "--out", str(tmp_path / "r.csv")]
+            *([f"@{args}"] if in_file else ["--T", "ten"]), "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --algo: invalid choice: 'half'" in captured.err
+    assert "argument --T: invalid int value: 'ten'" in captured.err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -175,13 +177,13 @@ def test_sweep_rejects_a_repeated_network_name_before_any_load(planted, tmp_path
 
 @pytest.mark.parametrize("command, bad", [
     ("sweep", ["--runs", "0"]),
-    ("sweep", ["--budget-pct", "0.05", "--repair-every", "0"]),
+    ("sweep", ["--budget-pct", "0.05", "--budget-pct", "1.5"]),
     ("sweep", ["--budget-pct", "0.05", "--budget-pct", "0.05"]),
     ("sweep", ["--T", "0"]),
-    ("run", ["--algo", "slpa", "--budget-pct", "0.05"]),
-    ("run", ["--algo", "slpa", "--repair-every", "-3"]),
-    ("run", ["--algo", "pcslpa", "--budget-pct", "0.05", "--budget-pct", "0.05"]),
-    ("run", ["--algo", "slpa", "--r", "2"]),
+    ("run", ["--budget-pct", "-0.05"]),
+    ("run", ["--r", "-0.1"]),
+    ("run", ["--budget-pct", "0.05", "--budget-pct", "0.05"]),
+    ("run", ["--r", "2"]),
 ])
 def test_a_bad_experiment_setting_fails_before_any_cell_runs(planted, tmp_path, monkeypatch,
                                                              capsys, command, bad):
@@ -194,6 +196,23 @@ def test_a_bad_experiment_setting_fails_before_any_cell_runs(planted, tmp_path, 
     assert rc == 2
     assert cells == []
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_truth_that_covers_no_node_fails_before_any_cell_runs(planted, tmp_path, monkeypatch,
+                                                                capsys, command):
+    edges, _ = planted
+    truth = tmp_path / "empty_truth.txt"
+    truth.write_text("# every community filtered out\n")
+    cells = []
+    monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+    network = (["--edges", str(edges), "--truth", str(truth)] if command == "run"
+               else ["--net", "toy", str(edges), str(truth)])
+    rc = main([command, *network, "--budget-pct", "0.05", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert cells == []
+    assert capsys.readouterr().err == f"error: ground truth {truth} covers no node\n"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -217,6 +236,17 @@ def test_winloss_reads_a_sweep_with_a_comma_in_a_network_name(planted, tmp_path,
     capsys.readouterr()
     assert main(["winloss", str(report)]) == 0
     assert "total wins" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", ""], ids=["text", "nan", "empty"])
+def test_winloss_rejects_a_score_that_is_not_a_number(tmp_path, capsys, cell):
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text(f"network,alg1,alg2\nnet1,0.9,0.7\nnet2,0.5,{cell}\n")
+    assert main(["winloss", str(sweep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: line 3: {sweep}: score {cell!r} for alg2 on net2 "
+                            "is not a number\n")
 
 
 def test_winloss_rejects_ragged_matrix(tmp_path):
@@ -274,8 +304,9 @@ def test_argument_file_output_flags_take_effect(planted, tmp_path):
     assert out.read_text().splitlines()[0].startswith("network,algo,pct,seed,nmi,ml_exchanges,")
 
 
-# a typo, the retired config-file option, two flags of sweep and one of the top level
-@pytest.mark.parametrize("key", ["repair_evry", "config", "raw_out", "net", "verbose"])
+# a typo, retired options, two flags of sweep and one of the top level
+@pytest.mark.parametrize("key", ["repair_evry", "repair_every", "algo", "config", "raw_out",
+                                 "net", "verbose"])
 def test_config_key_that_no_flag_reads_is_an_error(planted, tmp_path, capsys, key):
     edges, truth = planted
     flag = "--" + key.replace("_", "-")

@@ -11,7 +11,7 @@ from dataclasses import fields
 import pytest
 
 from pcslpa.cli import main
-from pcslpa.constrained import PcSlpaParams, RepairReport, run_pcslpa_report
+from pcslpa.constrained import RepairReport, run_pcslpa_report
 from pcslpa.graph import Cover, build_graph, write_cover, write_edge_list
 from pcslpa.harness import (
     ExperimentConfig,
@@ -147,9 +147,7 @@ def test_run_cell_forwards_every_repair_counter(planted_files):
                            budget_pcts=(0.3,), iterations=20, runs=1, seed=3)
     g, truth = load_experiment_inputs(cfg)
     result, _, store = run_cell(g, truth, cfg, "pcslpa", 0.3, 0)
-    params = PcSlpaParams(base=SlpaParams(iterations=20, seed=result.seed),
-                          repair_every=cfg.repair_every)
-    report = run_pcslpa_report(g, store, params)[1]
+    report = run_pcslpa_report(g, store, SlpaParams(iterations=20, seed=result.seed))[1]
     assert report.label_merges > 0
     assert RepairReport(result.ml_exchanges, result.ml_blocked_transfers, result.cl_deletions,
                         result.cl_guard_exceptions, result.label_merges) == report

@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_slpa import argmax, mem
 
+from pcslpa import constrained
 from pcslpa.constrained import (
-    DEFAULT_REPAIR_EVERY,
-    PcSlpaParams,
     RepairReport,
     constrained_evaluation_pass,
     constrained_speaker_set,
@@ -325,8 +324,22 @@ def test_cl_repair_checks_only_the_given_pairs():
     assert 200 in mems[2].counts and 200 in mems[3].counts
 
 
-def test_default_schedule_repairs_periodically():
-    assert PcSlpaParams().repair_every == DEFAULT_REPAIR_EVERY
+def test_default_schedule_repairs_periodically(monkeypatch):
+    g, truth = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
+    store = select_constraints(g, GroundTruthOracle(truth), Budget.from_fraction(0.05, g.n),
+                               rng=random.Random(1))
+    passes, repairs = [], []
+    evaluation_pass, must_link = constrained.constrained_evaluation_pass, constrained.repair_must_link
+    monkeypatch.setattr(constrained, "constrained_evaluation_pass",
+                        lambda *args: passes.append(1) or evaluation_pass(*args))
+    monkeypatch.setattr(constrained, "repair_must_link",
+                        lambda *args: repairs.append(len(passes)) or must_link(*args))
+    # after every 5th pass and after the last; a run of at most 5 passes repairs once
+    for iterations, repaired_after in ((12, [5, 10, 12]), (3, [3])):
+        passes.clear()
+        repairs.clear()
+        run_pcslpa_report(g, store, SlpaParams(iterations=iterations, seed=1))
+        assert repairs == repaired_after
 
 
 def test_ml_repair_skips_pairs_already_aligned():
@@ -410,8 +423,8 @@ def test_empty_store_reduces_to_unsupervised_run():
     for seed in range(10):
         base = SlpaParams(iterations=40, threshold=0.1, seed=seed)
         plain = run_slpa(g, base)
-        constrained = run_pcslpa_report(g, ConstraintStore(), PcSlpaParams(base=base))[0]
-        assert cover_key(plain) == cover_key(constrained)
+        supervised = run_pcslpa_report(g, ConstraintStore(), base)[0]
+        assert cover_key(plain) == cover_key(supervised)
 
 
 def test_output_communities_respect_cannot_links():
@@ -421,7 +434,7 @@ def test_output_communities_respect_cannot_links():
                                    Budget.from_fraction(0.05, g.n),
                                    rng=random.Random(seed))
         base = SlpaParams(iterations=50, threshold=0.1, seed=seed)
-        cover, report = run_pcslpa_report(g, store, PcSlpaParams(base=base))
+        cover, report = run_pcslpa_report(g, store, base)
         for u, v in store.cl:
             for comm in cover.communities:
                 assert not (u in comm and v in comm)
@@ -434,7 +447,7 @@ def test_periodic_repair_schedule_also_ends_clean():
                                Budget.from_fraction(0.05, g.n),
                                rng=random.Random(1))
     base = SlpaParams(iterations=30, threshold=0.1, seed=1)
-    cover, _ = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=5))
+    cover, _ = run_pcslpa_report(g, store, base)
     for u, v in store.cl:
         for comm in cover.communities:
             assert not (u in comm and v in comm)
@@ -445,25 +458,8 @@ def test_constrained_run_is_deterministic():
     store = select_constraints(g, GroundTruthOracle(truth),
                                Budget.from_fraction(0.05, g.n),
                                rng=random.Random(3))
-    params = PcSlpaParams(base=SlpaParams(iterations=30, seed=7))
+    params = SlpaParams(iterations=30, seed=7)
     c1, r1 = run_pcslpa_report(g, store, params)
     c2, r2 = run_pcslpa_report(g, store, params)
     assert cover_key(c1) == cover_key(c2)
     assert r1 == r2
-
-
-def test_repair_every_at_least_t_repairs_once():
-    g, truth = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
-    store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget.from_fraction(0.05, g.n),
-                               rng=random.Random(2))
-    base = SlpaParams(iterations=30, threshold=0.1, seed=2)
-    once, once_report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=30))
-    late, late_report = run_pcslpa_report(g, store, PcSlpaParams(base=base, repair_every=300))
-    assert cover_key(once) == cover_key(late)
-    assert once_report == late_report
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        PcSlpaParams(repair_every=0)
