@@ -4,7 +4,7 @@ and a reproducible benchmark harness."""
 
 from .graph import Cover, Graph, IdMap, ParseError, build_graph, load_cover, load_edge_list, write_cover, write_edge_list
 from .slpa import LabelMemory, SlpaParams, run_slpa
-from .constraints import Budget, ConstraintStore, GroundTruthOracle, Oracle, Relation, find_forbidden_triads, select_constraints
+from .constraints import ConstraintStore, GroundTruthOracle, Oracle, Relation, budget_queries, find_forbidden_triads, select_constraints
 from .constrained import RepairReport, run_pcslpa_report
 from .nmi import CoverStats, cover_stats, overlapping_nmi
 from .planted import gen_planted_overlap
@@ -23,7 +23,6 @@ from .harness import (
 )
 
 __all__ = [
-    "Budget",
     "ConstraintStore",
     "Cover",
     "CoverStats",
@@ -39,6 +38,7 @@ __all__ = [
     "RunResult",
     "SlpaParams",
     "WinLossTable",
+    "budget_queries",
     "build_graph",
     "cover_stats",
     "derive_seed",

@@ -34,12 +34,13 @@ import random
 import sys
 from pathlib import Path
 
-from .constraints import Budget, GroundTruthOracle, select_constraints, write_constraints
+from .constraints import GroundTruthOracle, budget_queries, select_constraints, write_constraints
 from .graph import IdMap, ParseError, load_cover, load_edge_list, write_cover, write_edge_list
 from .harness import (
     ALGO_PCSLPA,
     ALGO_SLPA,
     ExperimentConfig,
+    covering_truth,
     load_experiment_inputs,
     mix_seed,
     results_csv,
@@ -155,7 +156,7 @@ def cmd_nmi(args) -> int:
     # with --edges, a token that names no graph node is an error
     id_map = (load_edge_list(args.edges).ids if args.edges is not None
               else _cover_id_map([args.truth, args.cover]))
-    truth = load_cover(args.truth, id_map)
+    truth = covering_truth(load_cover(args.truth, id_map), args.truth)
     detected = load_cover(args.cover, id_map)
     print(f"{overlapping_nmi(truth, detected, truth.nodes()):.6f}")
     return 0
@@ -163,11 +164,11 @@ def cmd_nmi(args) -> int:
 
 def cmd_select_constraints(args) -> int:
     g = load_edge_list(args.edges)
-    truth = load_cover(args.truth, g.ids)
-    budget = Budget.from_fraction(args.budget_pct, len(truth.nodes()))
+    truth = covering_truth(load_cover(args.truth, g.ids), args.truth)
+    max_queries = budget_queries(args.budget_pct, len(truth.nodes()))
     rng = random.Random(mix_seed(args.seed, "select"))
-    store = select_constraints(g, GroundTruthOracle(truth), budget, rng)
-    logger.info("selected %d constraints (budget %d)", store.queries_used, budget.max_queries)
+    store = select_constraints(g, GroundTruthOracle(truth), max_queries, rng)
+    logger.info("selected %d constraints (budget %d)", store.queries_used, max_queries)
     buf = io.StringIO()
     write_constraints(store, buf, g.ids)
     _write_output(args.out, buf.getvalue())
@@ -176,13 +177,10 @@ def cmd_select_constraints(args) -> int:
 
 def cmd_filter_truth(args) -> int:
     g = load_edge_list(args.edges)
-    raw = load_cover(args.truth, g.ids, strict=args.strict)
-    filtered = filter_truth_cover(
-        g, raw,
-        keep_largest=args.keep_largest,
-        drop_density_quartile=not args.keep_sparse,
-        min_size=args.min_size,
-    )
+    raw = covering_truth(load_cover(args.truth, g.ids, strict=args.strict), args.truth)
+    filtered = covering_truth(
+        filter_truth_cover(g, raw, keep_largest=args.keep_largest, min_size=args.min_size),
+        f"{args.truth} after filtering")
     stats = cover_stats(filtered, n_total=g.n)
     logger.info("kept %d of %d communities; sizes %d..%d; %d overlapping nodes (%.1f%%)",
                 len(filtered), len(raw), stats.min_size, stats.max_size,
@@ -289,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep at most this many largest communities (default 5000)")
     p.add_argument("--min-comm-size", dest="min_size", type=int, default=5,
                    help="drop communities below this size after filtering (default 5)")
-    p.add_argument("--keep-sparse", action="store_true",
-                   help="skip dropping the lowest internal-density quartile")
     p.add_argument("--strict", action="store_true",
                    help="fail on membership tokens missing from the edge list")
     p.add_argument("--out", default=None, help="output path (default stdout)")

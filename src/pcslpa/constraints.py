@@ -1,5 +1,8 @@
 """Pairwise constraints: storage, ground-truth oracles, and budgeted selection.
 
+A budget is a count of oracle queries; `budget_queries` turns a fraction of
+the eligible node pairs into that count, and `select_constraints` spends it.
+
 Selection interleaves random pair queries with forbidden-triad closure: once
 two must-link pairs (a,b) and (a,c) exist, the unresolved pair (b,c) is an
 open triad that must itself be put to the oracle, because must-link is not
@@ -26,7 +29,6 @@ import random
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, starmap
 from operator import itemgetter
@@ -207,31 +209,19 @@ class GroundTruthOracle(Oracle):
         return self._covered
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Query budget as a fraction of the n·(n−1)/2 pairs of the n eligible
-    nodes, those the oracle can answer for (the ground truth's covered
-    nodes), since selection draws only among them."""
+def budget_queries(pct: float, n_nodes: int) -> int:
+    """The query budget of a fraction pct of the n(n-1)/2 pairs of the
+    n = n_nodes eligible nodes, those the oracle can answer for (the ground
+    truth's covered nodes), since selection draws only among them.
 
-    pct: float
-    max_queries: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.pct <= 1.0:
-            raise ValueError("budget fraction must lie in [0, 1]")
-        if self.max_queries < 0:
-            raise ValueError("max_queries must be non-negative")
-
-    @classmethod
-    def from_fraction(cls, pct: float, n_nodes: int) -> "Budget":
-        """floor(pct * n(n-1)/2) for n = n_nodes eligible nodes, with pct read
-        at decimal precision so that e.g. pct=0.01, n=1000 gives exactly 4995
-        (float multiply can round an integral product below its true value)."""
-        if n_nodes < 0:
-            raise ValueError("node count must be non-negative")
-        total = n_nodes * (n_nodes - 1) // 2
-        max_q = int(Fraction(str(pct)) * total)
-        return cls(pct=pct, max_queries=max_q)
+    floor(pct * n(n-1)/2), with pct read at decimal precision so that e.g.
+    pct=0.01, n=1000 gives exactly 4995 (float multiply can round an
+    integral product below its true value)."""
+    if not 0.0 <= pct <= 1.0:
+        raise ValueError("budget fraction must lie in [0, 1]")
+    if n_nodes < 0:
+        raise ValueError("node count must be non-negative")
+    return int(Fraction(str(pct)) * (n_nodes * (n_nodes - 1) // 2))
 
 
 def find_forbidden_triads(store: ConstraintStore, limit: int | None = None) -> list[tuple[int, int]]:
@@ -303,34 +293,38 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
     return picked
 
 
-def select_constraints(g: Graph, oracle: Oracle, budget: Budget,
+def select_constraints(g: Graph, oracle: Oracle, max_queries: int,
                        rng: random.Random) -> ConstraintStore:
-    """Budgeted constraint selection: random seeding plus triad closure.
+    """Constraint selection within a budget of max_queries oracle queries
+    (budget_queries turns a fraction into one): random seeding plus triad
+    closure.
 
     Rounds alternate until the budget or the eligible pair pool runs out:
     (1) query up to half the budget (max_queries // 2, at least 1) in fresh
     random pairs among oracle-covered nodes; (2) repeatedly query all open
     forbidden triads until closure. Every oracle call, closure included, costs
-    budget.
+    budget; a negative budget raises ValueError.
     No pair is ever queried twice. A closure round that the remaining budget
     cuts takes the first open pairs in sorted order. Each round goes to
     one add_pairs call, which reads the oracle's answers for the round
     (oracle.answers) lazily, one per pair, in order.
     """
+    if max_queries < 0:
+        raise ValueError("max_queries must be non-negative")
     store = ConstraintStore()
     eligible = sorted(v for v in oracle.covered_nodes() if 0 <= v < g.n)
-    max_q = budget.max_queries
-    if max_q == 0 or len(eligible) < 2:
+    if max_queries == 0 or len(eligible) < 2:
         return store
     total_pairs = len(eligible) * (len(eligible) - 1) // 2
-    chunk = max(1, max_q // 2)
+    chunk = max(1, max_queries // 2)
 
-    while store.queries_used < min(max_q, total_pairs):
-        pairs = _sample_unqueried_pairs(eligible, min(chunk, max_q - store.queries_used), store, rng)
+    while store.queries_used < min(max_queries, total_pairs):
+        count = min(chunk, max_queries - store.queries_used)
+        pairs = _sample_unqueried_pairs(eligible, count, store, rng)
         store.add_pairs(pairs, oracle.answers(pairs))
-        while store.queries_used < max_q:
+        while store.queries_used < max_queries:
             # pairs opened while a round is queried wait for the next round
-            pairs = find_forbidden_triads(store, max_q - store.queries_used)
+            pairs = find_forbidden_triads(store, max_queries - store.queries_used)
             if not pairs:
                 break
             store.add_pairs(pairs, oracle.answers(pairs))

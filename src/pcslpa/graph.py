@@ -9,7 +9,6 @@ appearance; the original tokens are kept in a bidirectional map.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,11 +79,6 @@ class Graph:
     m: int
     ids: IdMap = field(repr=False)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        adj = self.adjacency[u]
-        i = bisect_left(adj, v)
-        return i < len(adj) and adj[i] == v
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, sorted."""
         for u in range(self.n):
@@ -93,10 +87,11 @@ class Graph:
                     yield (u, v)
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]], ids: IdMap | None = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Assemble a Graph from internal-id edges, dropping self-loops/duplicates.
 
-    Nodes 0..n-1 exist even when isolated. ids defaults to the identity map.
+    Nodes 0..n-1 exist even when isolated; each node's external token is its
+    decimal id (IdMap.identity).
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
@@ -107,11 +102,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], ids: IdMap | None = No
         if u == v:
             continue
         seen.add((u, v) if u < v else (v, u))
-    if ids is None:
-        ids = IdMap.identity(n)
-    elif len(ids) != n:
-        raise ValueError(f"id map covers {len(ids)} tokens, graph has {n} nodes")
-    return _graph_of_pairs(n, seen, ids)
+    return _graph_of_pairs(n, seen, IdMap.identity(n))
 
 
 def _graph_of_pairs(n: int, pairs: set[tuple[int, int]], ids: IdMap) -> Graph:

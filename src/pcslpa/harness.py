@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .constrained import RepairReport, run_pcslpa_report
-from .constraints import Budget, GroundTruthOracle, select_constraints
+from .constraints import GroundTruthOracle, budget_queries, select_constraints
 from .graph import Cover, Graph, load_cover, load_edge_list
 from .nmi import overlapping_nmi
 from .slpa import SlpaParams, run_slpa
@@ -89,6 +89,14 @@ class RunResult:
     label_merges: int = 0
 
 
+def covering_truth(truth: Cover, source) -> Cover:
+    """truth, or a ValueError that names source when truth has no community
+    (a score or a budget over its nodes would have nothing to count)."""
+    if not truth.communities:
+        raise ValueError(f"ground truth {source} covers no node")
+    return truth
+
+
 def load_experiment_inputs(cfg: ExperimentConfig) -> tuple[Graph, Cover]:
     try:
         g = load_edge_list(cfg.edges)
@@ -98,9 +106,7 @@ def load_experiment_inputs(cfg: ExperimentConfig) -> tuple[Graph, Cover]:
         truth = load_cover(cfg.truth, g.ids)
     except OSError as e:
         raise RuntimeError(f"cannot load ground truth {cfg.truth}: {e}") from e
-    if not truth.communities:
-        raise ValueError(f"ground truth {cfg.truth} covers no node")
-    return g, truth
+    return g, covering_truth(truth, cfg.truth)
 
 
 def experiment_cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
@@ -125,9 +131,9 @@ def run_cell(g: Graph, truth: Cover, cfg: ExperimentConfig, algo: str,
         cover, report = run_slpa(g, base), RepairReport()
     else:
         oracle = GroundTruthOracle(truth)
-        budget = Budget.from_fraction(pct, len(truth.nodes()))
+        max_queries = budget_queries(pct, len(truth.nodes()))
         select_rng = random.Random(mix_seed(seed, "select"))
-        store = select_constraints(g, oracle, budget, select_rng)
+        store = select_constraints(g, oracle, max_queries, select_rng)
         cover, report = run_pcslpa_report(g, store, base)
     ms = (time.perf_counter() - started) * 1000.0
     score = overlapping_nmi(truth, cover, truth.nodes())
@@ -295,25 +301,20 @@ def win_loss_table(scores: dict[str, list[float]]) -> WinLossTable:
 
 
 def internal_density(g: Graph, community: frozenset[int]) -> float:
-    """Edges inside the community divided by its possible pair count."""
-    members = sorted(community)
-    size = len(members)
+    """Edges inside the community divided by its possible pair count; each
+    member's adjacency list counts every inner edge from both ends."""
+    size = len(community)
     if size < 2:
         return 0.0
-    edges = 0
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            if g.has_edge(u, v):
-                edges += 1
+    edges = sum(len(community.intersection(g.adjacency[u])) for u in community) // 2
     return edges / (size * (size - 1) // 2)
 
 
-def filter_truth(g: Graph, cover: Cover, keep_largest: int = 5000,
-                 drop_density_quartile: bool = True, min_size: int = 5) -> Cover:
+def filter_truth(g: Graph, cover: Cover, keep_largest: int = 5000, min_size: int = 5) -> Cover:
     """Ground-truth preprocessing for raw community files.
 
-    Keeps the keep_largest biggest communities, optionally discards the bottom
-    quartile by internal density, collapses duplicates, and drops communities
+    Keeps the keep_largest biggest communities, discards the bottom quartile
+    of those by internal density, collapses duplicates, and drops communities
     below min_size. Both keep_largest and min_size must be at least 1.
     """
     if keep_largest < 1:
@@ -321,8 +322,6 @@ def filter_truth(g: Graph, cover: Cover, keep_largest: int = 5000,
     if min_size < 1:
         raise ValueError(f"min_size must be at least 1, got {min_size}")
     comms = sorted(cover.communities, key=lambda c: (-len(c), sorted(c)))[:keep_largest]
-    if drop_density_quartile and comms:
-        ranked = sorted(comms, key=lambda c: (internal_density(g, c), sorted(c)))
-        comms = ranked[len(ranked) // 4:]
-    comms = [c for c in comms if len(c) >= min_size]
+    ranked = sorted(comms, key=lambda c: (internal_density(g, c), sorted(c)))
+    comms = [c for c in ranked[len(ranked) // 4:] if len(c) >= min_size]
     return Cover(sorted(comms, key=lambda c: (-len(c), sorted(c))))

@@ -9,6 +9,9 @@ that candidate is left at H(X_k). The score is
 1 - [H(X|Y)_norm + H(Y|X)_norm] / 2, in [0, 1]. Entropies are in bits; the
 0·log 0 = 0 convention applies, and a zero-entropy community (all of the
 universe, or none of it) contributes a normalized term of 0.
+
+cover_stats summarizes one cover's shape (community count, size range,
+overlapping nodes) against the node count of its graph.
 """
 
 from __future__ import annotations
@@ -99,24 +102,20 @@ class CoverStats:
     max_size: int
     overlapping_nodes: int
     overlapping_fraction: float
-    max_memberships: int
 
 
-def cover_stats(cover: Cover, n_total: int | None = None) -> CoverStats:
-    """Summary statistics for a cover.
+def cover_stats(cover: Cover, n_total: int) -> CoverStats:
+    """Summary statistics for a cover of a graph of n_total nodes.
 
-    The overlapping fraction is relative to n_total when given (the graph's
-    node count), else to the number of covered nodes.
+    The overlapping fraction is the share of the n_total nodes that belong to
+    two or more communities (0 for an empty graph).
     """
     sizes = [len(c) for c in cover.communities]
-    membership_counts = [len(cover.memberships(v)) for v in cover.nodes()]
-    overlapping = sum(1 for k in membership_counts if k >= 2)
-    denom = n_total if n_total is not None else len(membership_counts)
+    overlapping = sum(1 for v in cover.nodes() if len(cover.memberships(v)) >= 2)
     return CoverStats(
         community_count=len(sizes),
         min_size=min(sizes) if sizes else 0,
         max_size=max(sizes) if sizes else 0,
         overlapping_nodes=overlapping,
-        overlapping_fraction=overlapping / denom if denom else 0.0,
-        max_memberships=max(membership_counts) if membership_counts else 0,
+        overlapping_fraction=overlapping / n_total if n_total else 0.0,
     )

@@ -35,18 +35,15 @@ def gen_planted_overlap(n_comms: int, comm_size: int, overlap_per_boundary: int,
     step = comm_size - overlap_per_boundary
     n = comm_size + (n_comms - 1) * step
     communities = [frozenset(range(i * step, i * step + comm_size)) for i in range(n_comms)]
-    intra: set[tuple[int, int]] = set()
-    for comm in communities:
-        members = sorted(comm)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                intra.add((u, v))
 
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     for u in range(n):
+        # the last community holding u ends at end: a later v shares a
+        # community with u exactly when v < end
+        end = min(u // step, n_comms - 1) * step + comm_size
         for v in range(u + 1, n):
-            p = p_in if (u, v) in intra else p_out
+            p = p_in if v < end else p_out
             if p >= 1.0 or rng.random() < p:
                 edges.append((u, v))
     return build_graph(n, edges), Cover(communities)

@@ -43,10 +43,10 @@ from test_nmi import as_sets, naive_overlapping_nmi, random_cover
 
 from pcslpa.constrained import run_pcslpa_report
 from pcslpa.constraints import (
-    Budget,
     ConstraintStore,
     GroundTruthOracle,
     Oracle,
+    budget_queries,
     canonical_pair,
     select_constraints,
 )
@@ -244,21 +244,21 @@ def test_criterion_7_selection_invariants(experiment_data):
     g = experiment_data["graph"]
     truth = experiment_data["truth"]
     # exact decimal floors, including two floats whose product rounds low
-    assert Budget.from_fraction(0.01, 1000).max_queries == 4995
-    assert Budget.from_fraction(0.7, 76).max_queries == 1995
-    assert Budget.from_fraction(0.29, 225).max_queries == 7308
+    assert budget_queries(0.01, 1000) == 4995
+    assert budget_queries(0.7, 76) == 1995
+    assert budget_queries(0.29, 225) == 7308
     problems = []
     for pct in (0.01, 0.05):
-        budget = Budget.from_fraction(pct, g.n)
-        assert budget.max_queries == int(pct * g.n * (g.n - 1) / 2 + 1e-9)
+        budget = budget_queries(pct, g.n)
+        assert budget == int(pct * g.n * (g.n - 1) / 2 + 1e-9)
         for seed in range(3):
             oracle = _CountingOracle(GroundTruthOracle(truth))
             store = select_constraints(g, oracle, budget, rng=random.Random(seed))
             if len(oracle.queried) != len(set(oracle.queried)):
                 problems.append(f"duplicate query at pct={pct} seed={seed}")
-            if store.queries_used != budget.max_queries:
+            if store.queries_used != budget:
                 problems.append(f"budget mismatch {store.queries_used} != "
-                                f"{budget.max_queries} at pct={pct} seed={seed}")
+                                f"{budget} at pct={pct} seed={seed}")
             if not store.ml.isdisjoint(store.cl):
                 problems.append(f"ml/cl overlap at pct={pct} seed={seed}")
             for u, v in store.ml:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pcslpa import harness
+from pcslpa import cli, harness
 from pcslpa.cli import build_parser, main
 
 
@@ -199,12 +199,17 @@ def test_a_bad_experiment_setting_fails_before_any_cell_runs(planted, tmp_path, 
     assert not (tmp_path / "r.csv").exists()
 
 
+def _empty_truth(tmp_path):
+    truth = tmp_path / "empty_truth.txt"
+    truth.write_text("# every community filtered out\n")
+    return truth
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_a_truth_that_covers_no_node_fails_before_any_cell_runs(planted, tmp_path, monkeypatch,
                                                                 capsys, command):
     edges, _ = planted
-    truth = tmp_path / "empty_truth.txt"
-    truth.write_text("# every community filtered out\n")
+    truth = _empty_truth(tmp_path)
     cells = []
     monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
     network = (["--edges", str(edges), "--truth", str(truth)] if command == "run"
@@ -214,6 +219,47 @@ def test_a_truth_that_covers_no_node_fails_before_any_cell_runs(planted, tmp_pat
     assert cells == []
     assert capsys.readouterr().err == f"error: ground truth {truth} covers no node\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_select_constraints_rejects_a_truth_that_covers_no_node(planted, tmp_path,
+                                                                monkeypatch, capsys):
+    edges, _ = planted
+    truth = _empty_truth(tmp_path)
+    selections = []
+    monkeypatch.setattr(cli, "select_constraints", lambda *args: selections.append(args))
+    out = tmp_path / "pairs.txt"
+    assert main(["select-constraints", "--edges", str(edges), "--truth", str(truth),
+                 "--budget-pct", "0.05", "--out", str(out)]) == 2
+    assert selections == []
+    assert capsys.readouterr().err == f"error: ground truth {truth} covers no node\n"
+    assert not out.exists()
+
+
+def test_nmi_rejects_a_reference_that_covers_no_node(planted, tmp_path, capsys):
+    _, cover = planted
+    truth = _empty_truth(tmp_path)
+    assert main(["nmi", str(cover), "--truth", str(truth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ground truth {truth} covers no node\n"
+
+
+@pytest.mark.parametrize("raw_empty", [True, False], ids=["empty-raw", "all-filtered"])
+def test_filter_truth_rejects_a_truth_left_with_no_community(planted, tmp_path, capsys,
+                                                             raw_empty):
+    edges, truth = planted
+    argv = ["filter-truth", "--edges", str(edges)]
+    if raw_empty:
+        truth = _empty_truth(tmp_path)
+        want = f"error: ground truth {truth} covers no node\n"
+    else:
+        # both planted communities hold 10 nodes
+        argv += ["--min-comm-size", "100"]
+        want = f"error: ground truth {truth} after filtering covers no node\n"
+    out = tmp_path / "filtered.txt"
+    assert main(argv + ["--truth", str(truth), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == want
+    assert not out.exists()
 
 
 def test_winloss_reads_sweep_matrix(tmp_path, capsys):
@@ -262,7 +308,7 @@ def test_filter_truth_subcommand(tmp_path):
     truth.write_text("0 1 2\n3 4\n")
     out = tmp_path / "f.txt"
     rc = main(["filter-truth", "--edges", str(edges), "--truth", str(truth),
-               "--min-comm-size", "3", "--keep-sparse", "--out", str(out)])
+               "--min-comm-size", "3", "--out", str(out)])
     assert rc == 0
     assert out.read_text().splitlines() == ["0 1 2"]
 
@@ -362,3 +408,15 @@ def test_readme_names_exactly_the_flags_that_run_and_sweep_share():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     paragraph = readme.split("Flags shared by experiment commands", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"`(--[\w-]+)", paragraph)) == shared
+
+
+def test_readme_names_every_long_option():
+    parser = build_parser()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    missing = []
+    for name, sub in [("pcslpa", parser)] + sorted(_subcommands(parser).items()):
+        for option in (o for a in sub._actions for o in a.option_strings):
+            if (option.startswith("--") and option != "--help"
+                    and not re.search(re.escape(option) + r"(?![\w-])", readme)):
+                missing.append(f"{name} {option}")
+    assert missing == []

@@ -1,6 +1,6 @@
 """Constraint store, oracle, budget, and selection tests.
 
-Budget values below were frozen from an exact rational computation done
+Query budgets below were frozen from an exact rational computation done
 separately: floor(pct * n(n-1)/2) with pct read as a decimal literal. The
 (0.7, 76) and (0.29, 225) cases are witnesses where binary-float
 multiplication floors one below the true product.
@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcslpa.constraints import (
-    Budget,
     ConstraintStore,
     GroundTruthOracle,
     Oracle,
     Relation,
     _sample_unqueried_pairs,
+    budget_queries,
     canonical_pair,
     find_forbidden_triads,
     load_constraints,
@@ -97,14 +97,13 @@ def reference_sample_unqueried_pairs(eligible, count, queried, rng) -> list[tupl
     return picked
 
 
-def reference_select(g, oracle, budget, rng) -> ConstraintStore:
+def reference_select(g, oracle, max_q, rng) -> ConstraintStore:
     """The selection loop with its own ledger of asked pairs, sampling with
     the randrange sampler, querying one pair at a time and closing triads
     found by the full scan: a snapshot per round, as select_constraints does."""
     store = ConstraintStore()
     covered = oracle.covered_nodes()
     eligible = sorted(v for v in covered if 0 <= v < g.n)
-    max_q = budget.max_queries
     if max_q == 0 or len(eligible) < 2:
         return store
     total_pairs = len(eligible) * (len(eligible) - 1) // 2
@@ -229,22 +228,23 @@ def test_an_oracle_that_overrides_only_answer_is_asked_each_pair_once_in_order()
 
 
 def test_budget_floor_is_exact_in_decimal():
-    assert Budget.from_fraction(0.01, 1000).max_queries == 4995
+    assert budget_queries(0.01, 1000) == 4995
     # float floor would give 1994 and 7307 here
-    assert Budget.from_fraction(0.7, 76).max_queries == 1995
-    assert Budget.from_fraction(0.29, 225).max_queries == 7308
-    assert Budget.from_fraction(1.0, 10).max_queries == 45
-    assert Budget.from_fraction(0.0, 50).max_queries == 0
-    assert Budget.from_fraction(0.05, 2).max_queries == 0
+    assert budget_queries(0.7, 76) == 1995
+    assert budget_queries(0.29, 225) == 7308
+    assert budget_queries(1.0, 10) == 45
+    assert budget_queries(0.0, 50) == 0
+    assert budget_queries(0.05, 2) == 0
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        Budget.from_fraction(1.5, 10)
+        budget_queries(1.5, 10)
     with pytest.raises(ValueError):
-        Budget.from_fraction(0.1, -1)
+        budget_queries(0.1, -1)
+    g, truth = _fixture()
     with pytest.raises(ValueError):
-        Budget(pct=0.5, max_queries=-1)
+        select_constraints(g, GroundTruthOracle(truth), -1, rng=random.Random(0))
 
 
 def test_forbidden_triads_from_shared_must_link_hub():
@@ -422,17 +422,17 @@ def test_a_dense_draw_is_random_sample_written_out():
 def test_selection_respects_budget_exactly():
     g, truth = _fixture()
     oracle = CountingOracle(GroundTruthOracle(truth))
-    budget = Budget.from_fraction(0.01, g.n)
+    budget = budget_queries(0.01, g.n)
     store = select_constraints(g, oracle, budget, rng=random.Random(5))
-    assert budget.max_queries == 28  # floor(0.01 * 76*75/2)
+    assert budget == 28  # floor(0.01 * 76*75/2)
     assert store.queries_used == len(oracle.queried) == len(store.ml | store.cl)
-    assert store.queries_used <= budget.max_queries
+    assert store.queries_used <= budget
 
 
 def test_selection_never_repeats_a_query():
     g, truth = _fixture()
     oracle = CountingOracle(GroundTruthOracle(truth))
-    store = select_constraints(g, oracle, Budget.from_fraction(0.05, g.n),
+    store = select_constraints(g, oracle, budget_queries(0.05, g.n),
                                rng=random.Random(6))
     assert len(oracle.queried) == len(set(oracle.queried))
     assert store.ml.isdisjoint(store.cl)
@@ -441,7 +441,7 @@ def test_selection_never_repeats_a_query():
 def test_selection_answers_match_ground_truth():
     g, truth = _fixture()
     store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget.from_fraction(0.05, g.n),
+                               budget_queries(0.05, g.n),
                                rng=random.Random(7))
     for u, v in store.ml:
         assert set(truth.memberships(u)) & set(truth.memberships(v))
@@ -453,7 +453,7 @@ def test_selection_closure_reached_when_budget_allows():
     # full budget exhausts the pair pool, so no open triads can remain
     g, truth = gen_planted_overlap(2, 6, 2, 1.0, 0.0, seed=1)
     oracle = CountingOracle(GroundTruthOracle(truth))
-    budget = Budget.from_fraction(1.0, g.n)
+    budget = budget_queries(1.0, g.n)
     store = select_constraints(g, oracle, budget, rng=random.Random(8))
     total_pairs = g.n * (g.n - 1) // 2
     assert store.queries_used == total_pairs
@@ -465,7 +465,7 @@ def test_selection_stops_at_pool_exhaustion_below_budget():
     truth = Cover([{0, 1}, {2, 3}])
     g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
     store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget(pct=1.0, max_queries=1000),
+                               1000,
                                rng=random.Random(9))
     assert store.queries_used == 6
     assert {p for p in store.ml} == {(0, 1), (2, 3)}
@@ -477,7 +477,7 @@ def test_selection_stops_at_pool_exhaustion_below_budget():
 @pytest.mark.parametrize("pct", [0.01, 0.05, 1.0])
 def test_selection_matches_the_full_scan_reference(pct):
     g, truth = _fixture()
-    budget = Budget.from_fraction(pct, g.n)
+    budget = budget_queries(pct, g.n)
     for seed in range(5):
         got_oracle = CountingOracle(GroundTruthOracle(truth))
         want_oracle = CountingOracle(GroundTruthOracle(truth))
@@ -486,7 +486,7 @@ def test_selection_matches_the_full_scan_reference(pct):
         assert got.ml == want.ml
         assert got.cl == want.cl
         assert got_oracle.queried == want_oracle.queried
-        assert got.queries_used == budget.max_queries
+        assert got.queries_used == budget
 
 
 # The 1% selection below peaks near 4 MB under tracemalloc; listing the
@@ -504,14 +504,14 @@ def test_selection_on_a_large_sparse_graph_with_small_truth():
     nodes = sorted(rng.sample(range(n), 1610))
     truth = Cover([nodes[i * 40:i * 40 + 50] for i in range(40)])
     oracle = CountingOracle(GroundTruthOracle(truth))
-    budget = Budget.from_fraction(0.01, 1610)
+    budget = budget_queries(0.01, 1610)
     tracemalloc.start()
     try:
         store = select_constraints(g, oracle, budget, rng=random.Random(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert budget.max_queries == 1610 * 1609 // 2 // 100 == 12952
+    assert budget == 1610 * 1609 // 2 // 100 == 12952
     assert store.queries_used == len(oracle.queried) == len(store.ml | store.cl) == 12952
     assert {v for pair in oracle.queried for v in pair} <= set(nodes)
     assert peak < PEAK_BOUND, peak
@@ -520,13 +520,13 @@ def test_selection_on_a_large_sparse_graph_with_small_truth():
 def test_selection_with_a_zero_budget_stores_nothing():
     g, truth = _fixture()
     store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget.from_fraction(0.0, g.n), rng=random.Random(0))
+                               budget_queries(0.0, g.n), rng=random.Random(0))
     assert store.queries_used == 0 and not store.ml | store.cl
 
 
 def test_selection_is_deterministic_under_seeded_rng():
     g, truth = _fixture()
-    budget = Budget.from_fraction(0.05, g.n)
+    budget = budget_queries(0.05, g.n)
     a = select_constraints(g, GroundTruthOracle(truth), budget, rng=random.Random(42))
     b = select_constraints(g, GroundTruthOracle(truth), budget, rng=random.Random(42))
     assert a.ml == b.ml
@@ -609,12 +609,12 @@ STORE_BOUND = 11_000_000
 def test_a_store_keeps_one_record_of_its_pairs():
     g, truth = gen_planted_overlap(40, 50, 10, 0.3, 0.002, seed=0)
     oracle = GroundTruthOracle(truth)
-    budget = Budget.from_fraction(0.05, len(truth.nodes()))
+    budget = budget_queries(0.05, len(truth.nodes()))
     tracemalloc.start()
     try:
         store = select_constraints(g, oracle, budget, rng=random.Random(mix_seed(0, "select")))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert store.queries_used == budget.max_queries == 64762
+    assert store.queries_used == budget == 64762
     assert held < STORE_BOUND, held

@@ -100,9 +100,8 @@ def test_adjacency_sorted_and_degree_sum():
     g = build_graph(4, edges)
     assert g.adjacency[0] == [1, 2, 3]
     assert sum(len(g.adjacency[v]) for v in range(g.n)) == 2 * g.m
-    assert g.has_edge(0, 2)
-    assert g.has_edge(2, 0)
-    assert not g.has_edge(1, 2)
+    assert 2 in g.adjacency[0] and 0 in g.adjacency[2]
+    assert 2 not in g.adjacency[1]
 
 
 def test_edges_iterates_each_pair_once_sorted():

@@ -279,9 +279,9 @@ def test_filter_truth_rejects_a_bound_below_one(bounds):
 def test_filter_truth_size_cap_and_floor():
     g = build_graph(10, [(0, 1), (2, 3), (4, 5), (6, 7)])
     cover = Cover([{0, 1, 2, 3, 4}, {5, 6}, {7, 8, 9}])
-    top_two = filter_truth(g, cover, keep_largest=2, drop_density_quartile=False, min_size=1)
+    top_two = filter_truth(g, cover, keep_largest=2, min_size=1)
     assert sorted(len(c) for c in top_two.communities) == [3, 5]
-    floored = filter_truth(g, cover, keep_largest=10, drop_density_quartile=False, min_size=3)
+    floored = filter_truth(g, cover, keep_largest=10, min_size=3)
     assert sorted(len(c) for c in floored.communities) == [3, 5]
 
 

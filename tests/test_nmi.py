@@ -215,21 +215,19 @@ def test_nodes_outside_universe_are_ignored():
 
 
 def test_cover_stats_reports_overlap():
-    stats = cover_stats(Cover([{1, 2, 3}, {3, 4, 5}]))
+    stats = cover_stats(Cover([{1, 2, 3}, {3, 4, 5}]), n_total=5)
     assert stats.community_count == 2
     assert stats.min_size == 3
     assert stats.max_size == 3
     assert stats.overlapping_nodes == 1
-    assert stats.max_memberships == 2
     assert stats.overlapping_fraction == pytest.approx(1 / 5)
 
 
 def test_cover_stats_disjoint_and_total_denominator():
     cover = Cover([{0, 1}, {2, 3, 4}])
-    stats = cover_stats(cover)
+    stats = cover_stats(cover, n_total=5)
     assert stats.overlapping_nodes == 0
-    assert stats.max_memberships == 1
     assert stats.overlapping_fraction == 0.0
-    # denominator switches to the full graph size when supplied
+    # the denominator is the graph's node count, covered or not
     overlapped = cover_stats(Cover([{0, 1}, {1, 2}]), n_total=10)
     assert overlapped.overlapping_fraction == pytest.approx(1 / 10)

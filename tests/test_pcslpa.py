@@ -26,10 +26,10 @@ from pcslpa.constrained import (
     run_pcslpa_report,
 )
 from pcslpa.constraints import (
-    Budget,
     ConstraintStore,
     GroundTruthOracle,
     Relation,
+    budget_queries,
     canonical_pair,
     select_constraints,
 )
@@ -177,7 +177,7 @@ def test_listener_rejects_the_partner_top_not_the_partner_id():
 def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
     g, truth = gen_planted_overlap(3, 10, 2, 0.6, 0.05, seed=4)
     store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget.from_fraction(0.1, g.n), rng=random.Random(4))
+                               budget_queries(0.1, g.n), rng=random.Random(4))
     mems = init_constrained(g, sorted(store.ml))
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
     index = partner_tops(mems, store)
@@ -326,7 +326,7 @@ def test_cl_repair_checks_only_the_given_pairs():
 
 def test_default_schedule_repairs_periodically(monkeypatch):
     g, truth = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
-    store = select_constraints(g, GroundTruthOracle(truth), Budget.from_fraction(0.05, g.n),
+    store = select_constraints(g, GroundTruthOracle(truth), budget_queries(0.05, g.n),
                                rng=random.Random(1))
     passes, repairs = [], []
     evaluation_pass, must_link = constrained.constrained_evaluation_pass, constrained.repair_must_link
@@ -431,7 +431,7 @@ def test_output_communities_respect_cannot_links():
     g, truth = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
     for seed in range(3):
         store = select_constraints(g, GroundTruthOracle(truth),
-                                   Budget.from_fraction(0.05, g.n),
+                                   budget_queries(0.05, g.n),
                                    rng=random.Random(seed))
         base = SlpaParams(iterations=50, threshold=0.1, seed=seed)
         cover, report = run_pcslpa_report(g, store, base)
@@ -444,7 +444,7 @@ def test_output_communities_respect_cannot_links():
 def test_periodic_repair_schedule_also_ends_clean():
     g, truth = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
     store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget.from_fraction(0.05, g.n),
+                               budget_queries(0.05, g.n),
                                rng=random.Random(1))
     base = SlpaParams(iterations=30, threshold=0.1, seed=1)
     cover, _ = run_pcslpa_report(g, store, base)
@@ -456,7 +456,7 @@ def test_periodic_repair_schedule_also_ends_clean():
 def test_constrained_run_is_deterministic():
     g, truth = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=2)
     store = select_constraints(g, GroundTruthOracle(truth),
-                               Budget.from_fraction(0.05, g.n),
+                               budget_queries(0.05, g.n),
                                rng=random.Random(3))
     params = SlpaParams(iterations=30, seed=7)
     c1, r1 = run_pcslpa_report(g, store, params)
