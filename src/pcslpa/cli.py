@@ -158,6 +158,8 @@ def cmd_nmi(args) -> int:
               else _cover_id_map([args.truth, args.cover]))
     truth = covering_truth(load_cover(args.truth, id_map), args.truth)
     detected = load_cover(args.cover, id_map)
+    if not detected.communities:
+        raise ValueError(f"detected cover {args.cover} holds no community")
     print(f"{overlapping_nmi(truth, detected, truth.nodes()):.6f}")
     return 0
 

@@ -7,8 +7,8 @@ Selection interleaves random pair queries with forbidden-triad closure: once
 two must-link pairs (a,b) and (a,c) exist, the unresolved pair (b,c) is an
 open triad that must itself be put to the oracle, because must-link is not
 transitive when communities overlap. The store keeps each pair once, in its
-partner index, and builds the set of open pairs when it is read, once per
-closure round, from the must-links stored since the previous read.
+partner index, and nothing else; each closure round reads its open pairs
+from the must-links that the previous round stored (`find_forbidden_triads`).
 
 Each round, random or closure, is stored through the store's one insertion
 path, `ConstraintStore.add_pairs`, in one call that reads the oracle's
@@ -58,24 +58,13 @@ class ConstraintStore:
     opposite relation raises. Every insertion counts one query.
 
     add_pairs is the one insertion path: it stores a round of pairs in one
-    loop, and add(u, v, relation) is its one-pair call. open_pairs is every
-    open triad's pair: (b,c) with a common must-link partner and no stored
-    relation. It is built when read, from the must-links stored since the
-    previous read: add_pairs only drops each stored pair from the set and
-    records each must-link (a,b) as a new hub b of a and a of b. A pair
-    becomes open only through a new must-link at one of its ends, so the
-    read pairs each node x that has new hubs with the must-link partners of
-    those hubs, less x and the nodes already related to x.
+    loop, and add(u, v, relation) is its one-pair call.
     """
 
     def __init__(self) -> None:
         self.queries_used = 0
         self.partners: dict[Relation, dict[int, set[int]]] = {
             Relation.MUST_LINK: {}, Relation.CANNOT_LINK: {}}
-        # open pairs as of the last read, less those stored since, and each
-        # node's must-link partners (its new hubs) added since
-        self._open: set[tuple[int, int]] = set()
-        self._new_hubs: defaultdict[int, list[int]] = defaultdict(list)
 
     def _pairs(self, relation: Relation) -> set[tuple[int, int]]:
         return {(u, v) for u, vs in self.partners[relation].items() for v in vs if u < v}
@@ -91,22 +80,25 @@ class ConstraintStore:
     def add(self, u: int, v: int, relation: Relation) -> None:
         self.add_pairs([canonical_pair(u, v)], [relation])
 
-    def add_pairs(self, pairs: Iterable[tuple[int, int]], relations: Iterable[Relation]) -> None:
-        """Store each canonical pair (low id first) with its relation, in order.
+    def add_pairs(self, pairs: Iterable[tuple[int, int]],
+                  relations: Iterable[Relation]) -> list[tuple[int, int]]:
+        """Store each canonical pair (low id first) with its relation, in order,
+        and return the must-link pairs among them.
 
         A pair that is not canonical, already stored, or stored with the
         opposite relation raises ValueError; the pairs before it stay stored
         and counted."""
         ml_partners = self.partners[Relation.MUST_LINK]
         cl_partners = self.partners[Relation.CANNOT_LINK]
-        open_discard, new_hubs = self._open.discard, self._new_hubs
         must_link = Relation.MUST_LINK
+        links: list[tuple[int, int]] = []
         for pair, relation in zip(pairs, relations):
             a, b = pair
             if a >= b:
                 raise ValueError(f"pair {pair} is not canonical")
             if relation is must_link:
                 partners, opposite = ml_partners, cl_partners
+                links.append(pair)
             else:
                 partners, opposite = cl_partners, ml_partners
             if b in opposite.get(a, ()):
@@ -122,26 +114,7 @@ class ConstraintStore:
             pa.add(b)
             pb.add(a)
             self.queries_used += 1
-            open_discard(pair)
-            if relation is must_link:
-                new_hubs[a].append(b)
-                new_hubs[b].append(a)
-
-    @property
-    def open_pairs(self) -> set[tuple[int, int]]:
-        """The canonical pairs of every open triad, brought up to date from
-        the must-links stored since the previous read."""
-        open_pairs = self._open
-        new_hubs, self._new_hubs = self._new_hubs, defaultdict(list)
-        ml_partners = self.partners[Relation.MUST_LINK]
-        cl_partners = self.partners[Relation.CANNOT_LINK]
-        for x, hubs in new_hubs.items():
-            # every y that a new hub of x joins to x, less those related to x
-            reach = set().union(*[ml_partners[h] for h in hubs])
-            reach.difference_update(ml_partners[x], cl_partners.get(x, ()))
-            reach.discard(x)
-            open_pairs.update([(x, y) if x < y else (y, x) for y in reach])
-        return open_pairs
+        return links
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         """Whether the canonical pair carries a stored relation."""
@@ -224,13 +197,29 @@ def budget_queries(pct: float, n_nodes: int) -> int:
     return int(Fraction(str(pct)) * (n_nodes * (n_nodes - 1) // 2))
 
 
-def find_forbidden_triads(store: ConstraintStore, limit: int | None = None) -> list[tuple[int, int]]:
-    """The open pairs (b,c): some a is must-linked to both b and c, and (b,c)
-    carries no stored relation. Sorted canonical pairs, no duplicates; with
-    a limit, only the first limit of them. Reading store.open_pairs brings
-    the set up to date from the must-links stored since the previous read;
-    see ConstraintStore."""
-    open_pairs = store.open_pairs
+def find_forbidden_triads(store: ConstraintStore, links: Iterable[tuple[int, int]],
+                          limit: int | None = None) -> list[tuple[int, int]]:
+    """The pairs that links, stored must-links, open: each (x,y) with no
+    stored relation such that (x,h) is in links, either way round, and
+    (h,y) is a stored must-link. Sorted canonical pairs, no duplicates; with
+    a limit, only the first limit of them.
+
+    Links (a,b) and (a,c) each open (b,c), so passing store.ml yields every
+    open pair of the store; select_constraints passes the previous round's
+    must-links."""
+    ml_partners = store.partners[Relation.MUST_LINK]
+    cl_partners = store.partners[Relation.CANNOT_LINK]
+    hubs: defaultdict[int, list[int]] = defaultdict(list)
+    for a, b in links:
+        hubs[a].append(b)
+        hubs[b].append(a)
+    open_pairs: set[tuple[int, int]] = set()
+    for x, x_hubs in hubs.items():
+        # every y that a hub of x joins to x, less those related to x
+        reach = set().union(*[ml_partners[h] for h in x_hubs])
+        reach.difference_update(ml_partners[x], cl_partners.get(x, ()))
+        reach.discard(x)
+        open_pairs.update([(x, y) if x < y else (y, x) for y in reach])
     if limit is None or limit >= len(open_pairs):
         return sorted(open_pairs)
     # only pairs whose low end is at most the limit-th pair's need sorting
@@ -308,6 +297,12 @@ def select_constraints(g: Graph, oracle: Oracle, max_queries: int,
     cuts takes the first open pairs in sorted order. Each round goes to
     one add_pairs call, which reads the oracle's answers for the round
     (oracle.answers) lazily, one per pair, in order.
+
+    Each closure round queries the pairs that the previous round's
+    must-links open. That is every open pair of the store: a closure round
+    not cut by the budget queries every pair open before it, a cut one ends
+    selection, and a random round runs only when no pair is open, so each
+    pair open after a round has a must-link stored in that round.
     """
     if max_queries < 0:
         raise ValueError("max_queries must be non-negative")
@@ -321,13 +316,13 @@ def select_constraints(g: Graph, oracle: Oracle, max_queries: int,
     while store.queries_used < min(max_queries, total_pairs):
         count = min(chunk, max_queries - store.queries_used)
         pairs = _sample_unqueried_pairs(eligible, count, store, rng)
-        store.add_pairs(pairs, oracle.answers(pairs))
+        links = store.add_pairs(pairs, oracle.answers(pairs))
         while store.queries_used < max_queries:
             # pairs opened while a round is queried wait for the next round
-            pairs = find_forbidden_triads(store, max_queries - store.queries_used)
+            pairs = find_forbidden_triads(store, links, max_queries - store.queries_used)
             if not pairs:
                 break
-            store.add_pairs(pairs, oracle.answers(pairs))
+            links = store.add_pairs(pairs, oracle.answers(pairs))
     return store
 
 

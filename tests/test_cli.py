@@ -244,6 +244,18 @@ def test_nmi_rejects_a_reference_that_covers_no_node(planted, tmp_path, capsys):
     assert captured.err == f"error: ground truth {truth} covers no node\n"
 
 
+@pytest.mark.parametrize("with_edges", [False, True], ids=["cover-ids", "graph-ids"])
+def test_nmi_rejects_an_empty_detected_cover_by_its_path(planted, tmp_path, capsys, with_edges):
+    edges, truth = planted
+    empty = tmp_path / "empty_cover.txt"
+    empty.write_text("")
+    argv = ["nmi", str(empty), "--truth", str(truth)] + (["--edges", str(edges)] if with_edges else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: detected cover {empty} holds no community\n"
+
+
 @pytest.mark.parametrize("raw_empty", [True, False], ids=["empty-raw", "all-filtered"])
 def test_filter_truth_rejects_a_truth_left_with_no_community(planted, tmp_path, capsys,
                                                              raw_empty):

@@ -251,9 +251,9 @@ def test_forbidden_triads_from_shared_must_link_hub():
     s = ConstraintStore()
     s.add(1, 2, Relation.MUST_LINK)
     s.add(1, 3, Relation.MUST_LINK)
-    assert find_forbidden_triads(s) == [(2, 3)]
+    assert find_forbidden_triads(s, s.ml) == [(2, 3)]
     s.add(2, 3, Relation.CANNOT_LINK)
-    assert find_forbidden_triads(s) == []
+    assert find_forbidden_triads(s, s.ml) == []
 
 
 def test_forbidden_triads_closed_triangle_is_quiet():
@@ -261,7 +261,7 @@ def test_forbidden_triads_closed_triangle_is_quiet():
     s.add(0, 1, Relation.MUST_LINK)
     s.add(1, 2, Relation.MUST_LINK)
     s.add(0, 2, Relation.MUST_LINK)
-    assert find_forbidden_triads(s) == []
+    assert find_forbidden_triads(s, s.ml) == []
 
 
 def test_forbidden_triads_sorted_and_deduped():
@@ -270,7 +270,7 @@ def test_forbidden_triads_sorted_and_deduped():
     s.add(5, 3, Relation.MUST_LINK)
     s.add(1, 3, Relation.MUST_LINK)  # closes (1,3); hub at 1 now opens nothing new
     s.add(1, 7, Relation.MUST_LINK)
-    pairs = find_forbidden_triads(s)
+    pairs = find_forbidden_triads(s, s.ml)
     assert pairs == sorted(set(pairs))
     assert (3, 7) in pairs and (5, 7) in pairs
 
@@ -292,30 +292,37 @@ def test_open_pairs_match_a_full_scan_after_every_add(data):
         if data.draw(st.booleans()):
             u, v = v, u
         s.add(u, v, data.draw(st.sampled_from(Relation)))
-        assert find_forbidden_triads(s) == reference_forbidden_triads(s)
+        assert find_forbidden_triads(s, s.ml) == reference_forbidden_triads(s)
         assert [p in s for p in pairs] == [p in s.ml or p in s.cl for p in pairs]
+
+
+def reference_opened_pairs(store: ConstraintStore, links) -> list[tuple[int, int]]:
+    """The pairs that links open, by the contract written out over all node
+    pairs: (x,y) unstored, with (x,h) in links and (h,y) a must-link."""
+    ml = store.ml
+    nodes = {v for pair in ml | store.cl for v in pair}
+    ends = {(x, h) for a, b in links for x, h in ((a, b), (b, a))}
+    return [(x, y) for x, y in itertools.combinations(sorted(nodes), 2)
+            if (x, y) not in store
+            and any((x, h) in ends and canonical_pair(h, y) in ml
+                    or (y, h) in ends and canonical_pair(h, x) in ml
+                    for h in nodes - {x, y})]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_open_pairs_read_after_several_rounds_match_a_full_scan(data):
-    # the open set is built when read, so a read may follow several rounds
-    # of mixed relations, each possibly storing pairs open at the last read
+def test_open_pairs_of_some_must_links_match_the_contract(data):
+    # any store, and any subset of its must-links in any order
     n = data.draw(st.integers(3, 12))
     pairs = list(itertools.combinations(range(n), 2))
     s = ConstraintStore()
-    open_at_read: list[tuple[int, int]] = []
-    for _ in range(data.draw(st.integers(1, 8))):
-        free = [p for p in pairs if p not in s]
-        if not free:
-            break
-        pool = [p for p in open_at_read if p not in s] + free
-        round_pairs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
-        s.add_pairs(sorted(round_pairs), [data.draw(st.sampled_from(Relation)) for _ in round_pairs])
-        if data.draw(st.booleans()):
-            open_at_read = find_forbidden_triads(s)
-            assert open_at_read == reference_forbidden_triads(s)
-    assert find_forbidden_triads(s) == reference_forbidden_triads(s)
+    for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True)):
+        s.add(*pair, data.draw(st.sampled_from(Relation)))
+    links = data.draw(st.lists(st.sampled_from(sorted(s.ml)), unique=True) if s.ml else st.just([]))
+    want = reference_opened_pairs(s, links)
+    assert find_forbidden_triads(s, links) == want
+    limit = data.draw(st.integers(0, len(want) + 1))
+    assert find_forbidden_triads(s, links, limit) == want[:limit]
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,14 +338,14 @@ def test_a_limited_round_is_the_head_of_the_sorted_open_pairs(data):
     want = reference_forbidden_triads(s)
     for limit in {0, 1, len(want) // 2, max(len(want) - 1, 0), len(want), len(want) + 1,
                   data.draw(st.integers(0, len(want) + 1))}:
-        assert find_forbidden_triads(s, limit) == want[:limit]
-    assert find_forbidden_triads(s, None) == want
+        assert find_forbidden_triads(s, s.ml, limit) == want[:limit]
+    assert find_forbidden_triads(s, s.ml, None) == want
 
 
 def store_state(s: ConstraintStore):
     """Everything a store holds, with the partner dicts' key order and each
     partner set's iteration order, which PartnerTops follows."""
-    return (s.ml, s.cl, s.open_pairs, s.queries_used,
+    return (s.ml, s.cl, s.queries_used,
             [(v, list(ps)) for v, ps in s.partners[Relation.MUST_LINK].items()],
             [(v, list(ps)) for v, ps in s.partners[Relation.CANNOT_LINK].items()])
 
@@ -361,7 +368,8 @@ def test_batched_insertion_equals_one_add_per_pair(data):
             relations = relations + [data.draw(st.sampled_from(Relation))]
         errors = []
         try:
-            batched.add_pairs(pairs, relations)
+            links = batched.add_pairs(pairs, relations)
+            assert links == [p for p, r in zip(pairs, relations) if r is Relation.MUST_LINK]
         except ValueError as e:
             errors.append(str(e))
         for (u, v), relation in zip(pairs, relations):
@@ -457,7 +465,7 @@ def test_selection_closure_reached_when_budget_allows():
     store = select_constraints(g, oracle, budget, rng=random.Random(8))
     total_pairs = g.n * (g.n - 1) // 2
     assert store.queries_used == total_pairs
-    assert find_forbidden_triads(store) == []
+    assert find_forbidden_triads(store, store.ml) == []
 
 
 def test_selection_stops_at_pool_exhaustion_below_budget():
@@ -551,6 +559,24 @@ def test_constraint_file_round_trip():
     empty = io.StringIO()
     write_constraints(ConstraintStore(), empty, ids)
     assert empty.getvalue() == ""
+
+
+@pytest.mark.parametrize("instance, pct", [
+    ((40, 50, 10, 0.3, 0.002), 0.05),  # chain1610
+    ((4, 25, 8, 0.3, 0.05), 0.05),  # chain76, criterion 4's instance
+    ((4, 25, 8, 0.3, 0.05), 1.0),
+])
+def test_a_selected_store_equals_the_store_read_back_from_its_file(instance, pct):
+    # a store holds its record and nothing else, so selection leaves no
+    # state that a store loaded from the written file would lack
+    g, truth = gen_planted_overlap(*instance, seed=0)
+    selected = select_constraints(g, GroundTruthOracle(truth), budget_queries(pct, len(truth.nodes())),
+                                  random.Random(mix_seed(0, "select")))
+    buf = io.StringIO()
+    write_constraints(selected, buf, g.ids)
+    loaded = load_constraints(io.StringIO(buf.getvalue()), g.ids)
+    assert vars(selected) == vars(loaded)
+    assert set(vars(selected)) == {"partners", "queries_used"}
 
 
 def reference_constraint_text(store: ConstraintStore, id_map: IdMap) -> str:
