@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from .constraints import GroundTruthOracle, budget_queries, select_constraints, write_constraints
-from .graph import IdMap, ParseError, load_cover, load_edge_list, write_cover, write_edge_list
+from .graph import IdMap, ParseError, _iter_lines, load_cover, load_edge_list, write_cover, write_edge_list
 from .harness import (
     ALGO_PCSLPA,
     ALGO_SLPA,
@@ -140,16 +140,15 @@ def cmd_sweep(args) -> int:
 
 def _cover_id_map(paths) -> IdMap:
     """Id map from every membership token in the given cover files."""
-    id_map = IdMap()
+    index: dict[str, int] = {}
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                for token in line.split():
-                    id_map.intern(token)
-    return id_map
+        for raw in _iter_lines(path):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            for token in line.split():
+                index.setdefault(token, len(index))
+    return IdMap(index)
 
 
 def cmd_nmi(args) -> int:
@@ -209,20 +208,25 @@ def cmd_winloss(args) -> int:
     with open(args.sweep_csv, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2 or len(rows[0]) < 3:
-        raise ParseError(f"{args.sweep_csv}: need >= 1 network row and >= 2 algorithm columns")
+        raise ParseError("need >= 1 network row and >= 2 algorithm columns",
+                         source=args.sweep_csv)
     header = rows[0]
-    scores: dict[str, list[float]] = {name: [] for name in header[1:]}
+    scores: dict[str, list[float]] = {}
+    for name in header[1:]:
+        if name in scores:
+            raise ParseError(f"algorithm column {name!r} repeats", source=args.sweep_csv)
+        scores[name] = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ParseError(f"{args.sweep_csv}: row width mismatch", line_no)
+            raise ParseError("row width mismatch", line_no, args.sweep_csv)
         for name, cell in zip(header[1:], row[1:]):
             try:
                 score = float(cell)
             except ValueError:
                 score = math.nan
             if math.isnan(score):
-                raise ParseError(f"{args.sweep_csv}: score {cell!r} for {name} on {row[0]} "
-                                 "is not a number", line_no)
+                raise ParseError(f"score {cell!r} for {name} on {row[0]} is not a number",
+                                 line_no, args.sweep_csv)
             scores[name].append(score)
     table = win_loss_table(scores)
     sys.stdout.write(table.to_text())

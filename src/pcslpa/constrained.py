@@ -164,9 +164,10 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
     top has count 1 gets no occurrence of a lower label. The partner
     receives instead only if that grant is blocked: a grant to a node is
     blocked when one of that node's cannot-link partners tops on the label,
-    which partner_tops answers by lookup.
+    that is, when the label is in the node's multiset in partner_tops.blocked.
 
     gained: collects the nodes that now hold a label they did not hold."""
+    blocked = partner_tops.blocked
     for u, v in ml_pairs:
         mu, mv = memories[u], memories[v]
         top_u, top_v = mu.top, mv.top
@@ -177,7 +178,7 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
         else:
             order = ((v, top_u), (u, top_v))
         for receiver, label in order:
-            if partner_tops.blocks(receiver, label):
+            if label in blocked.get(receiver, ()):
                 report.ml_blocked_transfers += 1
                 continue
             memory = memories[receiver]

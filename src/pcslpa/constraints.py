@@ -353,13 +353,13 @@ def load_constraints(source, id_map: IdMap) -> ConstraintStore:
             continue
         tokens = line.split()
         if len(tokens) != 3:
-            raise ParseError(f"expected 'u v ML|CL', got {line!r}", line_no)
+            raise ParseError(f"expected 'u v ML|CL', got {line!r}", line_no, source)
         tu, tv, tag = tokens
         if tag not in ("ML", "CL"):
-            raise ParseError(f"unknown relation tag {tag!r}", line_no)
+            raise ParseError(f"unknown relation tag {tag!r}", line_no, source)
         try:
             store.add(id_map.internal(tu), id_map.internal(tv), Relation(tag))
         except (KeyError, ValueError) as e:
             # an unknown token, or a self, repeated or conflicting pair
-            raise ParseError(e.args[0], line_no) from e
+            raise ParseError(e.args[0], line_no, source) from e
     return store

@@ -17,33 +17,32 @@ from typing import Iterable, Iterator
 logger = logging.getLogger(__name__)
 
 
-class ParseError(ValueError):
-    """Malformed input line, with 1-based line number context."""
+def _named(source, message: str) -> str:
+    """message, prefixed with 'PATH: ' when source is a path."""
+    return f"{source}: {message}" if isinstance(source, (str, Path)) else message
 
-    def __init__(self, message: str, line_no: int | None = None):
+
+class ParseError(ValueError):
+    """Malformed input, as 'PATH: line N: message': the path when the input
+    is a file named by a path, the 1-based line number when there is one."""
+
+    def __init__(self, message: str, line_no: int | None = None, source=None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(_named(source, message))
         self.line_no = line_no
 
 
 class IdMap:
-    """Bijection between external node tokens and dense internal indices."""
+    """Bijection between external node tokens and dense internal indices.
 
-    def __init__(self, index: dict[str, int] | None = None) -> None:
-        """An empty map, or the map of index, whose ids must be 0..n-1 in
-        insertion order (as `index.setdefault(token, len(index))` makes)."""
-        self._to_internal: dict[str, int] = {} if index is None else index
-        self._to_external: list[str] = list(self._to_internal)
+    Fixed once built: a loaded graph's map cannot change under it."""
 
-    def intern(self, token: str) -> int:
-        """Return the internal id for token, assigning the next index if new."""
-        idx = self._to_internal.get(token)
-        if idx is None:
-            idx = len(self._to_external)
-            self._to_internal[token] = idx
-            self._to_external.append(token)
-        return idx
+    def __init__(self, index: dict[str, int]) -> None:
+        """The map of index, whose ids must be 0..n-1 in insertion order (as
+        `index.setdefault(token, len(index))` makes); the map keeps index."""
+        self._to_internal = index
+        self._to_external = list(index)
 
     def internal(self, token: str) -> int:
         try:
@@ -118,9 +117,13 @@ def _graph_of_pairs(n: int, pairs: set[tuple[int, int]], ids: IdMap) -> Graph:
 
 
 def _iter_lines(source) -> Iterator[str]:
+    """The lines of source: a path, read as UTF-8, or an iterable of lines."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
-            yield from f
+            try:
+                yield from f
+            except UnicodeDecodeError as e:
+                raise ParseError(str(e), source=source) from e
     else:
         yield from source
 
@@ -158,7 +161,7 @@ def load_edge_list(source) -> Graph:
             continue
         if len(tokens) != 2:
             raise ParseError(f"expected 2 node tokens, got {len(tokens)}: {raw.strip()!r}",
-                             line_no)
+                             line_no, source)
         edges += 1
         u = intern(tokens[0], len(index))
         v = intern(tokens[1], len(index))
@@ -169,7 +172,7 @@ def load_edge_list(source) -> Graph:
         else:
             self_loops += 1
     if not edges:
-        raise ParseError("empty edge list: no edges found")
+        raise ParseError("empty edge list: no edges found", source=source)
     duplicates = edges - self_loops - len(pairs)
     if self_loops or duplicates:
         logger.warning("dropped %d self-loop(s) and %d duplicate edge(s)", self_loops, duplicates)
@@ -235,10 +238,12 @@ class Cover:
 def load_cover(source, id_map: IdMap, strict: bool = True) -> Cover:
     """Load a cover: one community per line, whitespace-separated member tokens.
 
-    Tokens absent from id_map raise ParseError when strict, otherwise they
-    are skipped with a warning, and a line left with no member is dropped.
+    Tokens absent from id_map raise ParseError when strict. Otherwise they
+    are skipped, with one warning for the whole input that counts them and
+    names the first, and a line left with no member is dropped.
     """
     comms: list[set[int]] = []
+    skipped: list[tuple[str, int]] = []
     for line_no, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -248,11 +253,14 @@ def load_cover(source, id_map: IdMap, strict: bool = True) -> Cover:
             if token in id_map:
                 members.add(id_map.internal(token))
             elif strict:
-                raise ParseError(f"unknown node token {token!r}", line_no)
+                raise ParseError(f"unknown node token {token!r}", line_no, source)
             else:
-                logger.warning("line %d: skipping unknown node token %r", line_no, token)
+                skipped.append((token, line_no))
         if members:
             comms.append(members)
+    if skipped:
+        logger.warning("%sskipped %d unknown node token(s), the first %r on line %d",
+                       _named(source, ""), len(skipped), *skipped[0])
     return Cover(comms)
 
 

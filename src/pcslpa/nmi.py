@@ -32,7 +32,8 @@ def overlapping_nmi(x: Cover, y: Cover, universe: set[int]) -> float:
     Communities are intersected with the universe first (nodes outside it are
     dropped; a community left empty still participates as a zero-entropy
     variable). Symmetric in (x, y); 1.0 when the covers contain identical
-    community sets.
+    community sets. The intersection counts are read from the covers' own
+    memberships(v), for each node v of the universe.
     """
     if not universe:
         raise ValueError("universe must be non-empty")
@@ -45,24 +46,12 @@ def overlapping_nmi(x: Cover, y: Cover, universe: set[int]) -> float:
     hx = [_h(len(c) / n) + _h((n - len(c)) / n) for c in xs]
     hy = [_h(len(c) / n) + _h((n - len(c)) / n) for c in ys]
 
-    # sparse intersection counts via per-node membership lists
-    memb_x: dict[int, list[int]] = {}
-    for k, c in enumerate(xs):
-        for v in c:
-            memb_x.setdefault(v, []).append(k)
-    memb_y: dict[int, list[int]] = {}
-    for l, c in enumerate(ys):
-        for v in c:
-            memb_y.setdefault(v, []).append(l)
+    # membership indices are those of xs and ys
     inter: dict[tuple[int, int], int] = {}
     for v in universe:
-        mx = memb_x.get(v)
-        my = memb_y.get(v)
-        if mx and my:
-            for k in mx:
-                for l in my:
-                    key = (k, l)
-                    inter[key] = inter.get(key, 0) + 1
+        for k in x.memberships(v):
+            for l in y.memberships(v):
+                inter[k, l] = inter.get((k, l), 0) + 1
 
     # one sweep over community pairs feeds both directions: the acceptance
     # condition is symmetric and H(X_k|Y_l) = H_joint - H(Y_l)

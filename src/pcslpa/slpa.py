@@ -138,10 +138,12 @@ class PartnerTops:
     """For each node with cannot-link partners, the multiset of its partners'
     current top labels, {label: partners topping on it}, in blocked.
 
-    A listener rejects exactly the labels in its own multiset. Code that
-    moves the top of a node with partners reports the move through moved(),
-    which updates the multisets of that node's partners. Built from no
-    partners, the index blocks nothing.
+    A label is blocked for node v exactly when it is a key of blocked[v]; a
+    node without partners has no entry. The pass, must-link repair and the
+    label merge read blocked directly. Code that moves the top of a node
+    with partners reports the move through moved(), which updates the
+    multisets of that node's partners. Built from no partners, the index
+    blocks nothing.
     """
 
     __slots__ = ("partners", "blocked")
@@ -156,11 +158,6 @@ class PartnerTops:
                     top = memories[p].top
                     tops[top] = tops.get(top, 0) + 1
                 self.blocked[v] = tops
-
-    def blocks(self, v: int, label: int) -> bool:
-        """Is label the top of one of v's cannot-link partners?"""
-        tops = self.blocked.get(v)
-        return tops is not None and label in tops
 
     def moved(self, v: int, old: int, new: int) -> None:
         """Node v's top changed from old to new (a no-op when they are equal)."""

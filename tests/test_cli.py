@@ -54,6 +54,31 @@ def test_run_constrained_needs_budget(planted, tmp_path):
     assert [line.split(",")[1] for line in budgeted.read_text().splitlines()[1:]] == ["pcslpa"] * 2
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"0 1 2\n", "line 1: expected 2 node tokens, got 3: '0 1 2'"),
+    (b"\xff 1\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"# no edge\n", "empty edge list: no edges found"),
+], ids=["three-tokens", "not-utf8", "empty"])
+def test_run_names_the_edge_file_it_cannot_read(planted, tmp_path, capsys, content, message):
+    _, truth = planted
+    edges = tmp_path / "bad_edges.txt"
+    edges.write_bytes(content)
+    assert main(["run", "--edges", str(edges), "--truth", str(truth), "--T", "5"]) == 2
+    assert capsys.readouterr().err == f"error: {edges}: {message}\n"
+
+
+def test_nmi_names_the_cover_file_it_cannot_decode(planted, tmp_path, capsys):
+    # without --edges the token scan reads the files first
+    _, truth = planted
+    cover = tmp_path / "cover.txt"
+    cover.write_bytes(b"0 1\n\xff\n")
+    assert main(["nmi", str(cover), "--truth", str(truth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {cover}: 'utf-8' codec can't decode byte 0xff in "
+                            "position 4: invalid start byte\n")
+
+
 def test_run_missing_inputs_is_an_error(tmp_path):
     rc = main(["run", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -87,7 +112,7 @@ def test_nmi_with_edges_rejects_a_token_that_names_no_node(planted, tmp_path, ca
     assert main(["nmi", str(cover), "--truth", str(truth), "--edges", str(edges)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1: unknown node token '99'\n"
+    assert captured.err == f"error: {cover}: line 1: unknown node token '99'\n"
     # without --edges the tokens of both covers are the node ids
     assert main(["nmi", str(cover), "--truth", str(truth)]) == 0
 
@@ -303,14 +328,26 @@ def test_winloss_rejects_a_score_that_is_not_a_number(tmp_path, capsys, cell):
     assert main(["winloss", str(sweep)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: line 3: {sweep}: score {cell!r} for alg2 on net2 "
+    assert captured.err == (f"error: {sweep}: line 3: score {cell!r} for alg2 on net2 "
                             "is not a number\n")
 
 
-def test_winloss_rejects_ragged_matrix(tmp_path):
+def test_winloss_rejects_ragged_matrix(tmp_path, capsys):
     sweep = tmp_path / "bad.csv"
     sweep.write_text("network,alg1,alg2\nnet1,0.9\n")
     assert main(["winloss", str(sweep)]) == 2
+    assert capsys.readouterr().err == f"error: {sweep}: line 2: row width mismatch\n"
+
+
+@pytest.mark.parametrize("header", ["network,a,b,a", "network,a,a"])
+def test_winloss_rejects_a_repeated_algorithm_column(tmp_path, capsys, header):
+    sweep = tmp_path / "sweep.csv"
+    width = header.count(",")
+    sweep.write_text(f"{header}\nnet1{',0.5' * width}\nnet2{',0.7' * width}\n")
+    assert main(["winloss", str(sweep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {sweep}: algorithm column 'a' repeats\n"
 
 
 def test_filter_truth_subcommand(tmp_path):
@@ -323,6 +360,20 @@ def test_filter_truth_subcommand(tmp_path):
                "--min-comm-size", "3", "--out", str(out)])
     assert rc == 0
     assert out.read_text().splitlines() == ["0 1 2"]
+
+
+def test_filter_truth_warns_once_for_all_unknown_tokens(tmp_path, caplog):
+    edges = tmp_path / "e.txt"
+    edges.write_text("0 1\n1 2\n0 2\n")
+    truth = tmp_path / "t.txt"
+    truth.write_text("0 1 2\n0 x9 1 x7\n\nx9 x8\n")
+    out = tmp_path / "f.txt"
+    with caplog.at_level("WARNING", logger="pcslpa"):
+        assert main(["filter-truth", "--edges", str(edges), "--truth", str(truth),
+                     "--min-comm-size", "2", "--out", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"{truth}: skipped 4 unknown node token(s), the first 'x9' on line 2"]
+    assert out.read_text().splitlines() == ["0 1 2", "0 1"]
 
 
 @pytest.mark.parametrize("flag", ["--keep-largest=0", "--keep-largest=-1", "--min-comm-size=0"])

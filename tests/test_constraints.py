@@ -542,9 +542,7 @@ def test_selection_is_deterministic_under_seeded_rng():
 
 
 def test_constraint_file_round_trip():
-    ids = IdMap()
-    for tok in ("n0", "n1", "n2", "n3"):
-        ids.intern(tok)
+    ids = IdMap({"n0": 0, "n1": 1, "n2": 2, "n3": 3})
     s = ConstraintStore()
     s.add(0, 2, Relation.MUST_LINK)
     s.add(1, 3, Relation.CANNOT_LINK)
@@ -592,9 +590,7 @@ def test_constraint_file_matches_the_sorted_pair_reference(data):
     # cannot-links, some nothing, and the store may be empty
     tokens = data.draw(st.lists(st.text(alphabet="abz019", min_size=1, max_size=3),
                                 min_size=2, max_size=12, unique=True))
-    ids = IdMap()
-    for tok in tokens:
-        ids.intern(tok)
+    ids = IdMap({tok: i for i, tok in enumerate(tokens)})
     pairs = list(itertools.combinations(range(len(tokens)), 2))
     s = ConstraintStore()
     for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True)):
@@ -625,6 +621,20 @@ def test_load_constraints_reports_a_bad_pair_with_its_line(text, line_no, messag
     with pytest.raises(ParseError, match=f"^line {line_no}: .*{message}") as raised:
         load_constraints(io.StringIO(text), IdMap.identity(4))
     assert raised.value.line_no == line_no
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"0 1 ML\n0 1\n", "line 2: expected 'u v ML|CL', got '0 1'"),
+    (b"0 1 ML\n\n0 1 CL\n", "line 3: pair (0, 1) already holds the opposite relation"),
+    (b"\xff 1 ML\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+])
+def test_load_constraints_names_the_file_it_reads(tmp_path, content, message):
+    # no subcommand reads a constraint file, so the loader is called directly
+    path = tmp_path / "pairs.txt"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as raised:
+        load_constraints(path, IdMap.identity(4))
+    assert str(raised.value) == f"{path}: {message}"
 
 
 # A chain1610 5% selection (64,762 pairs) leaves 9.2 MB live under tracemalloc;

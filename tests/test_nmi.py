@@ -214,6 +214,21 @@ def test_nodes_outside_universe_are_ignored():
     assert overlapping_nmi(x, y, universe) == pytest.approx(trimmed, abs=1e-12)
 
 
+def test_matches_naive_over_a_universe_smaller_than_the_covers():
+    # random_cover covers every node, so both covers hold nodes outside the
+    # universe, which the count of each pair of communities must skip
+    rng = random.Random(903)
+    for _ in range(60):
+        n = rng.randint(2, 30)
+        nodes = list(range(n))
+        universe = set(rng.sample(nodes, rng.randint(1, n - 1)))
+        x = random_cover(rng, nodes, 6)
+        y = random_cover(rng, nodes, 6)
+        fast = overlapping_nmi(x, y, universe)
+        slow = naive_overlapping_nmi(as_sets(x), as_sets(y), universe)
+        assert fast == pytest.approx(slow, abs=1e-9)
+
+
 def test_cover_stats_reports_overlap():
     stats = cover_stats(Cover([{1, 2, 3}, {3, 4, 5}]), n_total=5)
     assert stats.community_count == 2
