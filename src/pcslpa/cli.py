@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import logging
 import math
 import random
@@ -35,7 +34,8 @@ import sys
 from pathlib import Path
 
 from .constraints import GroundTruthOracle, budget_queries, select_constraints, write_constraints
-from .graph import IdMap, ParseError, _iter_lines, load_cover, load_edge_list, write_cover, write_edge_list
+from .graph import (IdMap, ParseError, _iter_lines, _open_sink, _records, load_cover,
+                    load_edge_list, write_cover, write_edge_list)
 from .harness import (
     ALGO_PCSLPA,
     ALGO_SLPA,
@@ -68,11 +68,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _write_output(out, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-        logger.info("wrote %s", out)
+    with _open_sink(out or sys.stdout) as f:
+        f.write(text)
 
 
 def _add_common_experiment_flags(p) -> None:
@@ -142,11 +139,8 @@ def _cover_id_map(paths) -> IdMap:
     """Id map from every membership token in the given cover files."""
     index: dict[str, int] = {}
     for path in paths:
-        for raw in _iter_lines(path):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            for token in line.split():
+        for _, _, tokens in _records(path):
+            for token in tokens:
                 index.setdefault(token, len(index))
     return IdMap(index)
 
@@ -170,9 +164,7 @@ def cmd_select_constraints(args) -> int:
     rng = random.Random(mix_seed(args.seed, "select"))
     store = select_constraints(g, GroundTruthOracle(truth), max_queries, rng)
     logger.info("selected %d constraints (budget %d)", store.queries_used, max_queries)
-    buf = io.StringIO()
-    write_constraints(store, buf, g.ids)
-    _write_output(args.out, buf.getvalue())
+    write_constraints(store, args.out or sys.stdout, g.ids)
     return 0
 
 
@@ -186,37 +178,31 @@ def cmd_filter_truth(args) -> int:
     logger.info("kept %d of %d communities; sizes %d..%d; %d overlapping nodes (%.1f%%)",
                 len(filtered), len(raw), stats.min_size, stats.max_size,
                 stats.overlapping_nodes, 100 * stats.overlapping_fraction)
-    buf = io.StringIO()
-    write_cover(filtered, buf, g.ids)
-    _write_output(args.out, buf.getvalue())
+    write_cover(filtered, args.out or sys.stdout, g.ids)
     return 0
 
 
 def cmd_gen_planted(args) -> int:
     g, truth = gen_planted_overlap(args.comms, args.size, args.overlap,
                                    args.p_in, args.p_out, args.seed)
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    _write_output(args.out, buf.getvalue())
-    buf = io.StringIO()
-    write_cover(truth, buf, g.ids)
-    _write_output(args.truth_out, buf.getvalue())
+    write_edge_list(g, args.out)
+    write_cover(truth, args.truth_out, g.ids)
     return 0
 
 
 def cmd_winloss(args) -> int:
-    with open(args.sweep_csv, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or len(rows[0]) < 3:
+    reader = csv.reader(_iter_lines(args.sweep_csv))
+    rows = [(reader.line_num, row) for row in reader]
+    if len(rows) < 2 or len(rows[0][1]) < 3:
         raise ParseError("need >= 1 network row and >= 2 algorithm columns",
                          source=args.sweep_csv)
-    header = rows[0]
+    header = rows[0][1]
     scores: dict[str, list[float]] = {}
     for name in header[1:]:
         if name in scores:
             raise ParseError(f"algorithm column {name!r} repeats", source=args.sweep_csv)
         scores[name] = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError("row width mismatch", line_no, args.sweep_csv)
         for name, cell in zip(header[1:], row[1:]):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import repeat, starmap
 from operator import itemgetter
 
-from .graph import Cover, Graph, IdMap, ParseError, _iter_lines, _open_sink
+from .graph import Cover, Graph, IdMap, ParseError, _open_sink, _records
 
 logger = logging.getLogger(__name__)
 
@@ -347,11 +347,7 @@ def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
 
 def load_constraints(source, id_map: IdMap) -> ConstraintStore:
     store = ConstraintStore()
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for line_no, line, tokens in _records(source):
         if len(tokens) != 3:
             raise ParseError(f"expected 'u v ML|CL', got {line!r}", line_no, source)
         tu, tv, tag = tokens

@@ -117,9 +117,10 @@ def _graph_of_pairs(n: int, pairs: set[tuple[int, int]], ids: IdMap) -> Graph:
 
 
 def _iter_lines(source) -> Iterator[str]:
-    """The lines of source: a path, read as UTF-8, or an iterable of lines."""
+    """The lines of source: a path, read as UTF-8 less any byte-order mark
+    with line ends kept as written, or an iterable of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
+        with open(source, "r", encoding="utf-8-sig", newline="") as f:
             try:
                 yield from f
             except UnicodeDecodeError as e:
@@ -128,12 +129,23 @@ def _iter_lines(source) -> Iterator[str]:
         yield from source
 
 
+def _records(source) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, tokens) of each line of source that holds
+    a token and does not start with '#'."""
+    for line_no, raw in enumerate(_iter_lines(source), start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield line_no, raw.strip(), tokens
+
+
 @contextmanager
 def _open_sink(sink):
-    """sink itself, or a text file opened for writing when sink is a path."""
+    """sink itself, or a text file opened for writing when sink is a path;
+    the path is logged once the file is closed."""
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as f:
             yield f
+        logger.info("wrote %s", sink)
     else:
         yield sink
 
@@ -244,12 +256,9 @@ def load_cover(source, id_map: IdMap, strict: bool = True) -> Cover:
     """
     comms: list[set[int]] = []
     skipped: list[tuple[str, int]] = []
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, _, tokens in _records(source):
         members: set[int] = set()
-        for token in line.split():
+        for token in tokens:
             if token in id_map:
                 members.add(id_map.internal(token))
             elif strict:

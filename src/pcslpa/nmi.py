@@ -10,6 +10,9 @@ that candidate is left at H(X_k). The score is
 0·log 0 = 0 convention applies, and a zero-entropy community (all of the
 universe, or none of it) contributes a normalized term of 0.
 
+nmi_max is the NMI_max of McDaid, Greene & Hurley (arXiv:1110.2515): from the
+same best H(X_k|Y) terms, the mutual information over the larger cover entropy.
+
 cover_stats summarizes one cover's shape (community count, size range,
 overlapping nodes) against the node count of its graph.
 """
@@ -26,13 +29,13 @@ def _h(p: float) -> float:
     return -p * log2(p) if p > 0.0 else 0.0
 
 
-def overlapping_nmi(x: Cover, y: Cover, universe: set[int]) -> float:
-    """Overlapping NMI between two covers over the given node universe.
+def _conditional_entropies(x: Cover, y: Cover, universe: set[int]):
+    """(H(X_k) for each k, H(Y_l) for each l, H(X_k|Y) for each k, H(Y_l|X)
+    for each l) over the universe.
 
     Communities are intersected with the universe first (nodes outside it are
     dropped; a community left empty still participates as a zero-entropy
-    variable). Symmetric in (x, y); 1.0 when the covers contain identical
-    community sets. The intersection counts are read from the covers' own
+    variable). The intersection counts are read from the covers' own
     memberships(v), for each node v of the universe.
     """
     if not universe:
@@ -77,11 +80,34 @@ def overlapping_nmi(x: Cover, y: Cover, universe: set[int]) -> float:
             cand_y = joint - hx[k]
             if cand_y < best_y[l]:
                 best_y[l] = cand_y
+    return hx, hy, best_x, best_y
 
-    norm_x = sum(0.0 if hx[k] <= 0.0 else best_x[k] / hx[k] for k in range(len(xs))) / len(xs)
-    norm_y = sum(0.0 if hy[l] <= 0.0 else best_y[l] / hy[l] for l in range(len(ys))) / len(ys)
+
+def overlapping_nmi(x: Cover, y: Cover, universe: set[int]) -> float:
+    """Overlapping NMI between two covers over the given node universe.
+
+    Symmetric in (x, y); 1.0 when the covers contain identical community sets.
+    """
+    hx, hy, best_x, best_y = _conditional_entropies(x, y, universe)
+    norm_x = sum(0.0 if h <= 0.0 else b / h for h, b in zip(hx, best_x)) / len(hx)
+    norm_y = sum(0.0 if h <= 0.0 else b / h for h, b in zip(hy, best_y)) / len(hy)
     value = 1.0 - 0.5 * (norm_x + norm_y)
     return min(1.0, max(0.0, value))
+
+
+def nmi_max(x: Cover, y: Cover, universe: set[int]) -> float:
+    """NMI_max between two covers over the given node universe:
+    I(X:Y) = [H(X) - H(X|Y) + H(Y) - H(Y|X)] / 2 over max(H(X), H(Y)), where
+    a cover's entropy sums its communities' and H(X|Y) sums H(X_k|Y).
+
+    Symmetric in (x, y), in [0, 1]; 1.0 when neither cover has entropy.
+    """
+    hx, hy, best_x, best_y = _conditional_entropies(x, y, universe)
+    most = max(sum(hx), sum(hy))
+    if most <= 0.0:
+        return 1.0
+    mutual = 0.5 * ((sum(hx) - sum(best_x)) + (sum(hy) - sum(best_y)))
+    return min(1.0, max(0.0, mutual / most))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import pytest
 
 from pcslpa import cli, harness
 from pcslpa.cli import build_parser, main
+from pcslpa.constraints import load_constraints
+from pcslpa.graph import Cover, ParseError, load_cover, load_edge_list
 
 
 @pytest.fixture()
@@ -339,6 +341,30 @@ def test_winloss_rejects_ragged_matrix(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {sweep}: line 2: row width mismatch\n"
 
 
+def test_winloss_numbers_a_row_by_its_file_line(tmp_path, capsys):
+    # the quoted network name spans lines 2 and 3, so the short row is line 4
+    sweep = tmp_path / "bad.csv"
+    sweep.write_text('network,a,b\n"n\n1",0.5,0.6\nn2,0.5\n')
+    assert main(["winloss", str(sweep)]) == 2
+    assert capsys.readouterr().err == f"error: {sweep}: line 4: row width mismatch\n"
+
+
+def test_winloss_names_the_file_it_cannot_decode(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_bytes(b"network,a,b\nn1,0.5,\xff\n")
+    assert main(["winloss", str(sweep)]) == 2
+    assert capsys.readouterr().err == (f"error: {sweep}: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 19: invalid start byte\n")
+
+
+def test_winloss_drops_a_byte_order_mark(tmp_path, capsys):
+    # a mark before a quoted first cell would keep its comma from being quoted
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_bytes('\ufeff"network, id",a,b\nn1,0.9,0.1\n'.encode())
+    assert main(["winloss", str(sweep)]) == 0
+    assert capsys.readouterr().out == harness.win_loss_table({"a": [0.9], "b": [0.1]}).to_text()
+
+
 @pytest.mark.parametrize("header", ["network,a,b,a", "network,a,a"])
 def test_winloss_rejects_a_repeated_algorithm_column(tmp_path, capsys, header):
     sweep = tmp_path / "sweep.csv"
@@ -483,3 +509,31 @@ def test_readme_names_every_long_option():
                     and not re.search(re.escape(option) + r"(?![\w-])", readme)):
                 missing.append(f"{name} {option}")
     assert missing == []
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_every_reader_takes_any_line_end(tmp_path, capsys, end):
+    def lines(name, *rows):
+        path = tmp_path / name
+        path.write_bytes("".join(row + end for row in rows).encode())
+        return path
+
+    g = load_edge_list(lines("edges.txt", "# triangle", "0 1", "1 2", "2 0"))
+    assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert load_cover(lines("truth.txt", "0 1", "", "1 2"), g.ids) == Cover([{0, 1}, {1, 2}])
+    store = load_constraints(lines("pairs.txt", "0 1 ML", "1 2 CL"), g.ids)
+    assert (store.ml, store.cl) == ({(0, 1)}, {(1, 2)})
+    assert main(["winloss", str(lines("sweep.csv", "network,a,b", "n1,0.9,0.1", "n2,0.2,0.8"))]) == 0
+    want = harness.win_loss_table({"a": [0.9, 0.2], "b": [0.1, 0.8]}).to_text()
+    assert capsys.readouterr().out == want
+
+    bad = [(load_edge_list, ("0 1", "1 2", "2")),
+           (lambda path: load_cover(path, g.ids), ("0 1", "1 2", "1 9")),
+           (lambda path: load_constraints(path, g.ids), ("0 1 ML", "1 2 CL", "0 2 XX"))]
+    for read, rows in bad:
+        with pytest.raises(ParseError) as raised:
+            read(lines("bad.txt", *rows))
+        assert raised.value.line_no == 3
+    sweep = lines("bad.csv", "network,a,b", "n1,0.9,0.1", "n2,0.2")
+    assert main(["winloss", str(sweep)]) == 2
+    assert capsys.readouterr().err == f"error: {sweep}: line 3: row width mismatch\n"

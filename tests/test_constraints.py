@@ -637,6 +637,13 @@ def test_load_constraints_names_the_file_it_reads(tmp_path, content, message):
     assert str(raised.value) == f"{path}: {message}"
 
 
+def test_load_constraints_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_bytes("\ufeff0 1 ML\n1 2 CL\n".encode())
+    store = load_constraints(path, IdMap.identity(3))
+    assert (store.ml, store.cl) == ({(0, 1)}, {(1, 2)})
+
+
 # A chain1610 5% selection (64,762 pairs) leaves 9.2 MB live under tracemalloc;
 # keeping each pair a second time, as a tuple in a set per relation, took 15.3 MB.
 STORE_BOUND = 11_000_000

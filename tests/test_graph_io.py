@@ -167,3 +167,20 @@ def test_cover_round_trip():
     write_cover(cover, buf, ids)
     back = load_cover(io.StringIO(buf.getvalue()), ids)
     assert {frozenset(c) for c in back.communities} == {frozenset(c) for c in cover.communities}
+
+
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
+
+
+def test_edge_list_file_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "triangle.txt"
+    path.write_bytes(BOM + b"0 1\n1 2\n2 0\n")
+    g = load_edge_list(path)
+    assert g.n == 3
+    assert [g.ids.external(v) for v in range(g.n)] == ["0", "1", "2"]
+
+
+def test_cover_file_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "truth.txt"
+    path.write_bytes(BOM + b"0 1 2\n")
+    assert load_cover(path, IdMap.identity(3)) == Cover([{0, 1, 2}])

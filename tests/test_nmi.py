@@ -5,6 +5,8 @@ straight from the definition of the measure, with explicit set algebra and
 no shared code with the package. It exists so the fast implementation can
 be checked against an independent oracle; its outputs on small covers were
 verified by hand before any comparison test was written.
+`naive_nmi_max` is the same kind of oracle for NMI_max, and takes each
+conditional entropy from the joint distribution directly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from pcslpa.graph import Cover
-from pcslpa.nmi import cover_stats, overlapping_nmi
+from pcslpa.nmi import cover_stats, nmi_max, overlapping_nmi
 
 
 def _h(p: float) -> float:
@@ -78,6 +80,44 @@ def naive_overlapping_nmi(x: list[set[int]], y: list[set[int]], universe: set[in
         return sum(terms) / len(terms)
 
     return 1.0 - 0.5 * (side(xs, ys) + side(ys, xs))
+
+
+def naive_nmi_max(x: list[set[int]], y: list[set[int]], universe: set[int]) -> float:
+    """Straight-from-definition NMI_max (McDaid, Greene & Hurley).
+
+    A cover's entropy sums its communities' binary entropies. H(X|Y) sums,
+    over X's communities, the least conditional entropy H(X_k|Y_l), computed
+    from the 2x2 joint distribution as -sum p(a,b) log2 p(a,b)/p(b), among the
+    admissible Y_l; a community with none keeps its own entropy. The mutual
+    information is averaged over both directions and divided by the larger
+    cover entropy; two covers without entropy score 1.
+    """
+    n = len(universe)
+    xs = [c & universe for c in x]
+    ys = [c & universe for c in y]
+
+    def conditional(a: set[int], b: set[int]) -> float:
+        cells = [(len(a & b), len(b)), (len(a - b), n - len(b)),
+                 (len(b - a), len(b)), (n - len(a | b), n - len(b))]
+        return sum(-(k / n) * math.log2(k / m) for k, m in cells if k)
+
+    def given(first: list[set[int]], second: list[set[int]]) -> float:
+        total = 0.0
+        for a in first:
+            best = _membership_entropy(len(a), n)
+            for b in second:
+                n11, n10, n01 = len(a & b), len(a - b), len(b - a)
+                n00 = n - n11 - n10 - n01
+                if _h(n11 / n) + _h(n00 / n) >= _h(n01 / n) + _h(n10 / n):
+                    best = min(best, conditional(a, b))
+            total += best
+        return total
+
+    hx = sum(_membership_entropy(len(c), n) for c in xs)
+    hy = sum(_membership_entropy(len(c), n) for c in ys)
+    if max(hx, hy) == 0.0:
+        return 1.0
+    return 0.5 * (hx - given(xs, ys) + hy - given(ys, xs)) / max(hx, hy)
 
 
 def random_cover(rng: random.Random, nodes: list[int], max_comms: int) -> Cover:
@@ -246,3 +286,34 @@ def test_cover_stats_disjoint_and_total_denominator():
     # the denominator is the graph's node count, covered or not
     overlapped = cover_stats(Cover([{0, 1}, {1, 2}]), n_total=10)
     assert overlapped.overlapping_fraction == pytest.approx(1 / 10)
+
+
+def test_nmi_max_matches_naive_on_random_covers():
+    rng = random.Random(904)
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        nodes = list(range(n))
+        universe = set(nodes)
+        x = random_cover(rng, nodes, 6)
+        y = random_cover(rng, nodes, 6)
+        fast = nmi_max(x, y, universe)
+        assert fast == pytest.approx(naive_nmi_max(as_sets(x), as_sets(y), universe), abs=1e-9)
+        assert fast == pytest.approx(nmi_max(y, x, universe), abs=1e-12)
+        assert 0.0 <= fast <= 1.0
+        assert nmi_max(x, x, universe) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_nmi_max_scores_the_all_in_one_cover_zero():
+    rng = random.Random(905)
+    universe = set(range(10))
+    blob = Cover([set(universe)])
+    assert nmi_max(blob, blob, universe) == 1.0
+    for _ in range(20):
+        other = random_cover(rng, sorted(universe), 5)
+        if len(other) < 2:
+            continue
+        assert nmi_max(blob, other, universe) == pytest.approx(0.0, abs=1e-12)
+        assert nmi_max(other, blob, universe) == pytest.approx(0.0, abs=1e-12)
+    # where LFK scores the same blob at 0.5
+    split = Cover([{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}])
+    assert nmi_max(split, blob, universe) == 0.0
