@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import repeat, starmap
+from itertools import repeat
 from operator import itemgetter
 
 from .graph import Cover, Graph, IdMap, ParseError, _open_sink, _records
@@ -116,10 +116,6 @@ class ConstraintStore:
             self.queries_used += 1
         return links
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        """Whether the canonical pair carries a stored relation."""
-        return any(pair[1] in partners.get(pair[0], ()) for partners in self.partners.values())
-
     def __repr__(self) -> str:
         return f"ConstraintStore(ml={len(self.ml)}, cl={len(self.cl)}, queries={self.queries_used})"
 
@@ -129,16 +125,12 @@ class Oracle:
 
     covered_nodes() is the set of nodes the oracle can answer for; selection
     draws only among them. Selection asks a whole round through answers(),
-    whose default asks answer() about each pair once, in order, and lazily,
-    so a subclass that overrides only answer() sees every query.
+    which yields the relation of each pair once, in order, each computed as
+    it is read.
     """
 
-    def answer(self, u: int, v: int) -> Relation:
-        raise NotImplementedError
-
     def answers(self, pairs: Iterable[tuple[int, int]]) -> Iterator[Relation]:
-        """The relation of each pair, in order, computed as it is read."""
-        return starmap(self.answer, pairs)
+        raise NotImplementedError
 
     def covered_nodes(self) -> frozenset[int]:
         raise NotImplementedError
@@ -146,37 +138,27 @@ class Oracle:
 
 class GroundTruthOracle(Oracle):
     """Noiseless oracle simulated from a ground-truth cover: must-link iff the
-    two nodes share at least one community.
-
-    answers() computes the relations itself rather than through answer(), so
-    a subclass that changes the answers must override answers() too."""
+    two nodes share at least one community."""
 
     def __init__(self, truth: Cover):
         self._memberships = {v: frozenset(truth.memberships(v)) for v in truth.nodes()}
         self._covered = frozenset(self._memberships)
 
-    def answer(self, u: int, v: int) -> Relation:
-        if u == v:
-            raise ValueError("oracle queries require two distinct nodes")
-        mu = self._memberships.get(u)
-        mv = self._memberships.get(v)
-        if mu is None:
-            raise ValueError(f"node {u} belongs to no ground-truth community")
-        if mv is None:
-            raise ValueError(f"node {v} belongs to no ground-truth community")
-        return Relation.CANNOT_LINK if mu.isdisjoint(mv) else Relation.MUST_LINK
-
     def answers(self, pairs: Iterable[tuple[int, int]]) -> Iterator[Relation]:
+        """The relation of each pair, in order, computed as it is read.
+
+        A query of one node twice, or of a node outside the truth, raises
+        ValueError when read: equal nodes first, then an uncovered u, then v."""
         get = self._memberships.get
         must_link, cannot_link = Relation.MUST_LINK, Relation.CANNOT_LINK
         for u, v in pairs:
             mu = get(u)
             mv = get(v)
             if mu is None or mv is None or u == v:
-                # a query answer() rejects: raise its error
-                yield self.answer(u, v)
-            else:
-                yield cannot_link if mu.isdisjoint(mv) else must_link
+                if u == v:
+                    raise ValueError("oracle queries require two distinct nodes")
+                raise ValueError(f"node {u if mu is None else v} belongs to no ground-truth community")
+            yield cannot_link if mu.isdisjoint(mv) else must_link
 
     def covered_nodes(self) -> frozenset[int]:
         return self._covered

@@ -52,8 +52,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if any(not 0.0 <= p <= 1.0 for p in self.budget_pcts):
             raise ValueError("budget fractions must lie in [0, 1]")
-        if len(set(self.budget_pcts)) != len(self.budget_pcts):
-            raise ValueError("budget fractions must not repeat")
+        # compared as every output prints them, so no two columns share a name
+        if len({f"{p:g}" for p in self.budget_pcts}) != len(self.budget_pcts):
+            raise ValueError("budget fractions must not repeat to 6 significant digits")
         if (self.algorithm == ALGO_PCSLPA) != bool(self.budget_pcts):
             raise ValueError("pcslpa needs at least one budget fraction, and slpa takes none")
         # the propagation settings, checked by their own type

@@ -41,15 +41,14 @@ from pathlib import Path
 import pytest
 
 from conftest import record_criterion
+from test_constraints import CountingOracle
 from test_nmi import as_sets, naive_overlapping_nmi, random_cover
 
 from pcslpa.constrained import run_pcslpa_report
 from pcslpa.constraints import (
     ConstraintStore,
     GroundTruthOracle,
-    Oracle,
     budget_queries,
-    canonical_pair,
     select_constraints,
 )
 from pcslpa.graph import write_cover, write_edge_list
@@ -230,19 +229,6 @@ def test_criterion_6_outputs_respect_cannot_links(experiment_data):
           f"{guard_hits} guard hits across {audited} constrained runs")
 
 
-class _CountingOracle(Oracle):
-    def __init__(self, inner: Oracle):
-        self.inner = inner
-        self.queried: list[tuple[int, int]] = []
-
-    def answer(self, u, v):
-        self.queried.append(canonical_pair(u, v))
-        return self.inner.answer(u, v)
-
-    def covered_nodes(self):
-        return self.inner.covered_nodes()
-
-
 def test_criterion_7_selection_invariants(experiment_data):
     g = experiment_data["graph"]
     truth = experiment_data["truth"]
@@ -255,7 +241,7 @@ def test_criterion_7_selection_invariants(experiment_data):
         budget = budget_queries(pct, g.n)
         assert budget == int(pct * g.n * (g.n - 1) / 2 + 1e-9)
         for seed in range(3):
-            oracle = _CountingOracle(GroundTruthOracle(truth))
+            oracle = CountingOracle(GroundTruthOracle(truth))
             store = select_constraints(g, oracle, budget, rng=random.Random(seed))
             if len(oracle.queried) != len(set(oracle.queried)):
                 problems.append(f"duplicate query at pct={pct} seed={seed}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from pcslpa import cli, harness
 from pcslpa.cli import build_parser, main
-from pcslpa.constraints import load_constraints
+from pcslpa.constraints import load_constraints, write_constraints
 from pcslpa.graph import Cover, ParseError, load_cover, load_edge_list
 
 
@@ -161,6 +162,29 @@ def test_select_constraints_takes_the_later_budget(planted, tmp_path):
     assert outs["flags"].read_bytes() == outs["alone"].read_bytes()
 
 
+@pytest.mark.parametrize("run_index", [0, 1])
+def test_select_constraints_at_a_run_seed_writes_that_run_constraints(tmp_path, run_index):
+    # run r at budget p under base seed B selects with seed derive_seed(B, p, r),
+    # the per-run CSV's seed, and select-constraints at that seed writes
+    # the same pairs; criterion 4's instance
+    edges, truth = tmp_path / "chain76.txt", tmp_path / "chain76_truth.txt"
+    assert main(["gen-planted", "--comms", "4", "--size", "25", "--overlap", "8",
+                 "--p-in", "0.3", "--p-out", "0.05", "--seed", "0",
+                 "--out", str(edges), "--truth-out", str(truth)]) == 0
+    cfg = harness.ExperimentConfig(edges=edges, truth=truth, algorithm="pcslpa",
+                                   budget_pcts=(0.05,), seed=12345)
+    g, cover = harness.load_experiment_inputs(cfg)
+    result, _, store = harness.run_cell(g, cover, cfg, "pcslpa", 0.05, run_index)
+    assert result.seed == harness.derive_seed(12345, 0.05, run_index)
+    want = io.StringIO()
+    write_constraints(store, want, g.ids)
+    assert len(want.getvalue().splitlines()) == 142  # floor(0.05 * 76*75/2)
+    out = tmp_path / "pairs.txt"
+    assert main(["select-constraints", "--edges", str(edges), "--truth", str(truth),
+                 "--budget-pct", "0.05", "--seed", str(result.seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == want.getvalue().encode()
+
+
 def test_sweep_is_byte_stable(planted, tmp_path):
     edges, truth = planted
     args = ["sweep", "--net", "toy", str(edges), str(truth),
@@ -211,6 +235,8 @@ def test_sweep_rejects_a_repeated_network_name_before_any_load(planted, tmp_path
     ("run", ["--r", "-0.1"]),
     ("run", ["--budget-pct", "0.05", "--budget-pct", "0.05"]),
     ("run", ["--r", "2"]),
+    # distinct floats that every output prints as 0.0500001
+    ("sweep", ["--budget-pct", "0.0500001", "--budget-pct", "0.05000011"]),
 ])
 def test_a_bad_experiment_setting_fails_before_any_cell_runs(planted, tmp_path, monkeypatch,
                                                              capsys, command, bad):

@@ -36,15 +36,19 @@ from pcslpa.planted import gen_planted_overlap
 
 
 class CountingOracle(Oracle):
-    """Wraps another oracle and logs every queried pair."""
+    """Wraps another oracle's answers and logs each pair as it is read."""
 
     def __init__(self, inner: Oracle):
         self.inner = inner
         self.queried: list[tuple[int, int]] = []
 
-    def answer(self, u: int, v: int) -> Relation:
-        self.queried.append(canonical_pair(u, v))
-        return self.inner.answer(u, v)
+    def answers(self, pairs):
+        return self.inner.answers(self._logged(pairs))
+
+    def _logged(self, pairs):
+        for pair in pairs:
+            self.queried.append(pair)
+            yield pair
 
     def covered_nodes(self):
         return self.inner.covered_nodes()
@@ -111,7 +115,7 @@ def reference_select(g, oracle, max_q, rng) -> ConstraintStore:
     queried: set[tuple[int, int]] = set()
 
     def query(pair):
-        store.add(pair[0], pair[1], oracle.answer(*pair))
+        store.add(*pair, next(oracle.answers([pair])))
         queried.add(pair)
 
     while store.queries_used < max_q and len(queried) < total_pairs:
@@ -145,7 +149,6 @@ def test_store_tracks_pairs_and_queries():
     assert s.queries_used == 2
     assert s.partners == {Relation.MUST_LINK: {1: {4}, 4: {1}},
                           Relation.CANNOT_LINK: {2: {3}, 3: {2}}}
-    assert (1, 4) in s and (2, 3) in s and (1, 2) not in s and (4, 9) not in s
 
 
 def test_pair_sets_are_copies_of_the_partner_index():
@@ -157,7 +160,6 @@ def test_pair_sets_are_copies_of_the_partner_index():
     ml.discard((0, 1))
     cl.clear()
     assert s.ml == {(0, 1)} and s.cl == {(1, 2)}
-    assert (0, 1) in s and (1, 2) in s and (5, 6) not in s
     assert s.partners == {Relation.MUST_LINK: {0: {1}, 1: {0}},
                           Relation.CANNOT_LINK: {1: {2}, 2: {1}}}
 
@@ -177,46 +179,48 @@ def test_store_rejects_duplicates_and_conflicts():
 def test_ground_truth_oracle_answers():
     truth = Cover([{1, 2, 3}, {3, 4, 5}])
     oracle = GroundTruthOracle(truth)
-    assert oracle.answer(1, 2) is Relation.MUST_LINK
-    assert oracle.answer(3, 4) is Relation.MUST_LINK
-    assert oracle.answer(1, 4) is Relation.CANNOT_LINK
-    assert oracle.answer(2, 5) is Relation.CANNOT_LINK
+    assert list(oracle.answers([(1, 2), (3, 4), (1, 4), (2, 5)])) == [
+        Relation.MUST_LINK, Relation.MUST_LINK, Relation.CANNOT_LINK, Relation.CANNOT_LINK]
     assert oracle.covered_nodes() == frozenset({1, 2, 3, 4, 5})
-    with pytest.raises(ValueError):
-        oracle.answer(1, 9)
-    with pytest.raises(ValueError):
-        oracle.answer(2, 2)
 
 
-def test_ground_truth_oracle_answers_a_round_as_answer_does():
+def test_ground_truth_oracle_answers_a_round_by_shared_truth_communities():
     g, truth = _fixture()
     oracle = GroundTruthOracle(truth)
     nodes = sorted(oracle.covered_nodes())
     rng = random.Random(11)
     pairs = [tuple(rng.sample(nodes, 2)) for _ in range(500)]
-    assert list(oracle.answers(pairs)) == [oracle.answer(u, v) for u, v in pairs]
+    want = [Relation.MUST_LINK if set(truth.memberships(u)) & set(truth.memberships(v))
+            else Relation.CANNOT_LINK for u, v in pairs]
+    assert list(oracle.answers(pairs)) == want
+    assert Relation.MUST_LINK in want and Relation.CANNOT_LINK in want
     assert list(oracle.answers([])) == []
 
 
-@pytest.mark.parametrize("bad", [(1, 9), (9, 1), (2, 2)])
-def test_ground_truth_oracle_rejects_a_bad_query_where_answer_does(bad):
+@pytest.mark.parametrize("bad, message", [
+    ((2, 2), "oracle queries require two distinct nodes"),
+    ((9, 9), "oracle queries require two distinct nodes"),
+    ((1, 9), "node 9 belongs to no ground-truth community"),
+    ((9, 1), "node 9 belongs to no ground-truth community"),
+    ((8, 9), "node 8 belongs to no ground-truth community"),
+], ids=["2-2", "9-9", "1-9", "9-1", "8-9"])
+def test_ground_truth_oracle_rejects_a_bad_query_when_it_is_read(bad, message):
+    # equal nodes are reported first, then an uncovered u, then v
     oracle = GroundTruthOracle(Cover([{1, 2, 3}, {3, 4, 5}]))
-    with pytest.raises(ValueError) as want:
-        oracle.answer(*bad)
     relations = oracle.answers([(1, 2), bad, (3, 4)])
     assert next(relations) is Relation.MUST_LINK
     with pytest.raises(ValueError) as got:
         next(relations)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == message
     # stored through a round, the pairs before the bad one stay stored
     store = ConstraintStore()
     round_pairs = [(1, 2), (1, 9), (3, 4)]
     with pytest.raises(ValueError, match="node 9 belongs to no ground-truth community"):
         store.add_pairs(round_pairs, oracle.answers(round_pairs))
-    assert store.queries_used == 1 and (1, 2) in store
+    assert store.queries_used == 1 and store.ml == {(1, 2)} and store.cl == set()
 
 
-def test_an_oracle_that_overrides_only_answer_is_asked_each_pair_once_in_order():
+def test_a_counting_oracle_logs_each_pair_once_in_order_as_it_is_read():
     oracle = CountingOracle(GroundTruthOracle(Cover([{1, 2, 3}, {3, 4, 5}])))
     pairs = [(1, 2), (2, 5), (3, 4), (1, 4)]
     relations = oracle.answers(pairs)
@@ -284,7 +288,8 @@ def test_open_pairs_match_a_full_scan_after_every_add(data):
     pairs = list(itertools.combinations(range(n), 2))
     s = ConstraintStore()
     for _ in range(data.draw(st.integers(1, 30))):
-        free = [p for p in pairs if p not in s]
+        stored = s.ml | s.cl
+        free = [p for p in pairs if p not in stored]
         if not free:
             break
         open_now = reference_forbidden_triads(s)
@@ -293,17 +298,17 @@ def test_open_pairs_match_a_full_scan_after_every_add(data):
             u, v = v, u
         s.add(u, v, data.draw(st.sampled_from(Relation)))
         assert find_forbidden_triads(s, s.ml) == reference_forbidden_triads(s)
-        assert [p in s for p in pairs] == [p in s.ml or p in s.cl for p in pairs]
 
 
 def reference_opened_pairs(store: ConstraintStore, links) -> list[tuple[int, int]]:
     """The pairs that links open, by the contract written out over all node
     pairs: (x,y) unstored, with (x,h) in links and (h,y) a must-link."""
     ml = store.ml
-    nodes = {v for pair in ml | store.cl for v in pair}
+    stored = ml | store.cl
+    nodes = {v for pair in stored for v in pair}
     ends = {(x, h) for a, b in links for x, h in ((a, b), (b, a))}
     return [(x, y) for x, y in itertools.combinations(sorted(nodes), 2)
-            if (x, y) not in store
+            if (x, y) not in stored
             and any((x, h) in ends and canonical_pair(h, y) in ml
                     or (y, h) in ends and canonical_pair(h, x) in ml
                     for h in nodes - {x, y})]
@@ -333,7 +338,7 @@ def test_a_limited_round_is_the_head_of_the_sorted_open_pairs(data):
     s = ConstraintStore()
     for u, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                    max_size=30)):
-        if u != v and canonical_pair(u, v) not in s:
+        if u != v and canonical_pair(u, v) not in s.ml | s.cl:
             s.add(u, v, data.draw(st.sampled_from(Relation)))
     want = reference_forbidden_triads(s)
     for limit in {0, 1, len(want) // 2, max(len(want) - 1, 0), len(want), len(want) + 1,
@@ -420,7 +425,8 @@ def test_a_dense_draw_is_random_sample_written_out():
         store = ConstraintStore()
         for pair in setup.sample(pairs, len(pairs) - size):
             store.add(*pair, setup.choice(list(Relation)))
-        pool = [pair for pair in pairs if pair not in store]
+        stored = store.ml | store.cl
+        pool = [pair for pair in pairs if pair not in stored]
         got_rng, want_rng = random.Random(size), random.Random(size)
         for count in range((size + 1) // 2, size + 1):
             assert _sample_unqueried_pairs(eligible, count, store, got_rng) == want_rng.sample(pool, count)
@@ -478,8 +484,7 @@ def test_selection_stops_at_pool_exhaustion_below_budget():
     assert store.queries_used == 6
     assert {p for p in store.ml} == {(0, 1), (2, 3)}
     # every covered pair is asked; nodes outside the coverage never are
-    assert all(p in store for p in itertools.combinations(range(4), 2))
-    assert not any((u, v) in store for u in range(6) for v in (4, 5) if u < v)
+    assert store.ml | store.cl == set(itertools.combinations(range(4), 2))
 
 
 @pytest.mark.parametrize("pct", [0.01, 0.05, 1.0])

@@ -213,7 +213,7 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed):
     g = build_graph(n, edges)
     store = ConstraintStore()
     for u, v, must in constraints:
-        if u != v and canonical_pair(u, v) not in store:
+        if u != v and canonical_pair(u, v) not in store.ml | store.cl:
             store.add(u, v, Relation.MUST_LINK if must else Relation.CANNOT_LINK)
     mems = init_constrained(g, sorted(store.ml))
     speakers = [constrained_speaker_set(g, store, v) for v in range(n)]
