@@ -185,6 +185,10 @@ def cmd_filter_truth(args) -> int:
 def cmd_gen_planted(args) -> int:
     g, truth = gen_planted_overlap(args.comms, args.size, args.overlap,
                                    args.p_in, args.p_out, args.seed)
+    isolated = [v for v in range(g.n) if not g.adjacency[v]]
+    if isolated:
+        raise ValueError(f"no edge at {len(isolated)} of {g.n} nodes (first: {isolated[0]}); "
+                         "an edge list cannot hold them")
     write_edge_list(g, args.out)
     write_cover(truth, args.truth_out, g.ids)
     return 0
@@ -210,8 +214,8 @@ def cmd_winloss(args) -> int:
                 score = float(cell)
             except ValueError:
                 score = math.nan
-            if math.isnan(score):
-                raise ParseError(f"score {cell!r} for {name} on {row[0]} is not a number",
+            if not math.isfinite(score):
+                raise ParseError(f"score {cell!r} for {name} on {row[0]} is not a finite number",
                                  line_no, args.sweep_csv)
             scores[name].append(score)
     table = win_loss_table(scores)

@@ -31,7 +31,6 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
 
 from .graph import Cover, Graph, IdMap, ParseError, _open_sink, _records
 
@@ -186,6 +185,9 @@ def find_forbidden_triads(store: ConstraintStore, links: Iterable[tuple[int, int
     (h,y) is a stored must-link. Sorted canonical pairs, no duplicates; with
     a limit, only the first limit of them.
 
+    Open pairs are grouped by low end and come out low end by low end,
+    each with its high ends sorted, until limit of them are out.
+
     Links (a,b) and (a,c) each open (b,c), so passing store.ml yields every
     open pair of the store; select_constraints passes the previous round's
     must-links."""
@@ -195,19 +197,24 @@ def find_forbidden_triads(store: ConstraintStore, links: Iterable[tuple[int, int
     for a, b in links:
         hubs[a].append(b)
         hubs[b].append(a)
-    open_pairs: set[tuple[int, int]] = set()
+    highs: defaultdict[int, set[int]] = defaultdict(set)
     for x, x_hubs in hubs.items():
         # every y that a hub of x joins to x, less those related to x
         reach = set().union(*[ml_partners[h] for h in x_hubs])
         reach.difference_update(ml_partners[x], cl_partners.get(x, ()))
         reach.discard(x)
-        open_pairs.update([(x, y) if x < y else (y, x) for y in reach])
-    if limit is None or limit >= len(open_pairs):
-        return sorted(open_pairs)
-    # only pairs whose low end is at most the limit-th pair's need sorting
-    last = sorted(map(itemgetter(0), open_pairs))[limit - 1]
-    pairs = sorted([pair for pair in open_pairs if pair[0] <= last])
-    del pairs[limit:]
+        reach = sorted(reach)
+        cut = bisect_right(reach, x)
+        if cut < len(reach):
+            highs[x].update(reach[cut:])
+        for y in reach[:cut]:
+            highs[y].add(x)
+    pairs: list[tuple[int, int]] = []
+    for x in sorted(highs):
+        pairs.extend(zip(repeat(x), sorted(highs[x])))
+        if limit is not None and len(pairs) >= limit:
+            del pairs[limit:]
+            break
     return pairs
 
 
@@ -310,21 +317,25 @@ def select_constraints(g: Graph, oracle: Oracle, max_queries: int,
 
 def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
     """One "u v ML|CL" triple per line, sorted by canonical internal pair:
-    nodes in id order, each with its higher-id partners in order."""
+    nodes in id order, each with its higher-id partners in order.
+
+    Partner v is coded 2v (must-link) or 2v+1 (cannot-link), the index of
+    its line suffix "v ML|CL"; a node's lines are the suffixes of its sorted
+    higher codes, each after the node's token, written in one call."""
     tokens = [id_map.external(v) for v in range(len(id_map))]
+    suffix = [f"{t} {tag}\n" for t in tokens for tag in ("ML", "CL")]
+    ml_code = list(range(0, 2 * len(tokens), 2)).__getitem__
+    cl_code = list(range(1, 2 * len(tokens), 2)).__getitem__
     ml_partners = store.partners[Relation.MUST_LINK]
     cl_partners = store.partners[Relation.CANNOT_LINK]
-
-    def lines():
-        for u, tu in enumerate(tokens):
-            ml_u = ml_partners.get(u, ())
-            partners = sorted([*ml_u, *cl_partners.get(u, ())])
-            for v in partners[bisect_right(partners, u):]:
-                yield f"{tu} {tokens[v]} {'ML' if v in ml_u else 'CL'}\n"
-
-    text = "".join(lines())
     with _open_sink(sink) as f:
-        f.write(text)
+        for u, tu in enumerate(tokens):
+            codes = [*map(ml_code, ml_partners.get(u, ())), *map(cl_code, cl_partners.get(u, ()))]
+            codes.sort()
+            del codes[:bisect_right(codes, 2 * u + 1)]
+            if codes:
+                prefix = tu + " "
+                f.write(prefix + prefix.join(map(suffix.__getitem__, codes)))
 
 
 def load_constraints(source, id_map: IdMap) -> ConstraintStore:

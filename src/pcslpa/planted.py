@@ -27,8 +27,6 @@ def gen_planted_overlap(n_comms: int, comm_size: int, overlap_per_boundary: int,
         raise ValueError("community count and size must be positive")
     if not 0 <= overlap_per_boundary < comm_size:
         raise ValueError("overlap must be smaller than the community size")
-    if n_comms > 1 and comm_size - overlap_per_boundary < 1:
-        raise ValueError("communities would collapse into each other")
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ValueError("need 0 <= p_out < p_in <= 1")
 

@@ -162,15 +162,35 @@ def test_select_constraints_takes_the_later_budget(planted, tmp_path):
     assert outs["flags"].read_bytes() == outs["alone"].read_bytes()
 
 
-@pytest.mark.parametrize("run_index", [0, 1])
-def test_select_constraints_at_a_run_seed_writes_that_run_constraints(tmp_path, run_index):
-    # run r at budget p under base seed B selects with seed derive_seed(B, p, r),
-    # the per-run CSV's seed, and select-constraints at that seed writes
-    # the same pairs; criterion 4's instance
+@pytest.fixture()
+def chain76(tmp_path):
+    """Criterion 4's instance."""
     edges, truth = tmp_path / "chain76.txt", tmp_path / "chain76_truth.txt"
     assert main(["gen-planted", "--comms", "4", "--size", "25", "--overlap", "8",
                  "--p-in", "0.3", "--p-out", "0.05", "--seed", "0",
                  "--out", str(edges), "--truth-out", str(truth)]) == 0
+    return edges, truth
+
+
+def test_select_constraints_prints_the_file_it_writes(chain76, tmp_path, capsys):
+    edges, truth = chain76
+    argv = ["select-constraints", "--edges", str(edges), "--truth", str(truth),
+            "--budget-pct", "0.05", "--seed", "7"]
+    out = tmp_path / "pairs.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert len(printed.splitlines()) == 142  # floor(0.05 * 76*75/2)
+    assert printed.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("run_index", [0, 1])
+def test_select_constraints_at_a_run_seed_writes_that_run_constraints(chain76, tmp_path, run_index):
+    # run r at budget p under base seed B selects with seed derive_seed(B, p, r),
+    # the per-run CSV's seed, and select-constraints at that seed writes
+    # the same pairs
+    edges, truth = chain76
     cfg = harness.ExperimentConfig(edges=edges, truth=truth, algorithm="pcslpa",
                                    budget_pcts=(0.05,), seed=12345)
     g, cover = harness.load_experiment_inputs(cfg)
@@ -349,7 +369,8 @@ def test_winloss_reads_a_sweep_with_a_comma_in_a_network_name(planted, tmp_path,
     assert "total wins" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("cell", ["abc", "nan", ""], ids=["text", "nan", "empty"])
+@pytest.mark.parametrize("cell", ["abc", "nan", "", "inf", "-inf", "1e400"],
+                         ids=["text", "nan", "empty", "inf", "-inf", "overflow"])
 def test_winloss_rejects_a_score_that_is_not_a_number(tmp_path, capsys, cell):
     sweep = tmp_path / "sweep.csv"
     sweep.write_text(f"network,alg1,alg2\nnet1,0.9,0.7\nnet2,0.5,{cell}\n")
@@ -357,7 +378,7 @@ def test_winloss_rejects_a_score_that_is_not_a_number(tmp_path, capsys, cell):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: {sweep}: line 3: score {cell!r} for alg2 on net2 "
-                            "is not a number\n")
+                            "is not a finite number\n")
 
 
 def test_winloss_rejects_ragged_matrix(tmp_path, capsys):
@@ -491,10 +512,15 @@ def test_malformed_config_via_cli_returns_error(planted, tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_gen_planted_rejects_bad_parameters(tmp_path):
-    rc = main(["gen-planted", "--comms", "2", "--size", "5", "--overlap", "5",
-               "--out", str(tmp_path / "e.txt"), "--truth-out", str(tmp_path / "t.txt")])
-    assert rc == 2
+def test_gen_planted_rejects_bad_parameters(tmp_path, capsys):
+    out, truth_out = tmp_path / "e.txt", tmp_path / "t.txt"
+    files = ["--out", str(out), "--truth-out", str(truth_out)]
+    assert main(["gen-planted", "--comms", "2", "--size", "5", "--overlap", "5", *files]) == 2
+    # a sparse draw leaves nodes without an edge, which an edge list cannot hold
+    assert main(["gen-planted", "--comms", "2", "--size", "10", "--overlap", "3",
+                 "--p-in", "0.1", "--p-out", "0", "--seed", "0", *files]) == 2
+    assert "no edge at 8 of 17 nodes (first: 0)" in capsys.readouterr().err
+    assert not out.exists() and not truth_out.exists()
 
 
 def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
