@@ -55,10 +55,6 @@ from .planted import gen_planted_overlap
 
 logger = logging.getLogger(__name__)
 
-# The defaults of every experiment flag: a dataclass keeps each field's
-# default value as a class attribute.
-DEFAULTS = ExperimentConfig
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Splits each line of an argument file on whitespace; '#' starts a comment."""
@@ -77,13 +73,13 @@ def _add_common_experiment_flags(p) -> None:
                    help="constraint budget as a fraction of the pairs of the ground "
                         "truth's nodes; repeatable. pcslpa runs at each budget; run "
                         "runs slpa instead when none is given, sweep runs slpa too")
-    p.add_argument("--T", type=int, default=DEFAULTS.iterations,
+    p.add_argument("--T", type=int, default=ExperimentConfig.iterations,
                    help="label propagation passes (default %(default)s)")
-    p.add_argument("--r", type=float, default=DEFAULTS.threshold,
+    p.add_argument("--r", type=float, default=ExperimentConfig.threshold,
                    help="membership probability threshold (default %(default)s)")
-    p.add_argument("--runs", type=int, default=DEFAULTS.runs,
+    p.add_argument("--runs", type=int, default=ExperimentConfig.runs,
                    help="independent runs per cell (default %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULTS.seed,
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                    help="base seed, per-run seeds derived from it (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -270,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ground-truth cover that answers the queries, one community per line")
     p.add_argument("--budget-pct", type=float, required=True,
                    help="query budget as a fraction of the pairs of the ground truth's nodes")
-    p.add_argument("--seed", type=int, default=DEFAULTS.seed,
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                    help="seed of the query order (default %(default)s)")
     p.add_argument("--out", default=None,
                    help="constraint file, 'u v ML|CL' per line (default stdout)")
@@ -321,7 +317,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ParseError, ValueError, RuntimeError, OSError) as e:
+    except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

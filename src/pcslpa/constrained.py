@@ -93,10 +93,10 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
     taken by descending count of linking must-links, then ascending labels,
     and each joins its two label groups unless a cannot-link separates the
     groups. Every memory then holds each group's occurrences under the
-    group's smallest label. Nodes whose label set changed are added to
-    gained, and a renamed memory whose top moved is reported to
-    partner_tops (a rename can re-elect a different label, so the index's
-    keys cannot simply be renamed)."""
+    group's smallest label. Renamed nodes are added to gained, and a renamed
+    memory whose top moved is reported to partner_tops (a rename can
+    re-elect a different label, so the index's keys cannot simply be
+    renamed)."""
     tops = [memory.top for memory in memories]
     links: dict[tuple[int, int], int] = {}
     for u, v in ml_pairs:
@@ -104,8 +104,6 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
         if a != b:
             key = (a, b) if a < b else (b, a)
             links[key] = links.get(key, 0) + 1
-    if not links:
-        return report
     # Only linked labels can join a group, so only their separations count.
     # A cannot-link pair (u, v) topping on a and b enters b in u's multiset of
     # partners' tops and a in v's, so each node's top against each distinct
@@ -141,8 +139,6 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
             others.discard(high)
             others.add(low)
         separated.setdefault(low, set()).update(moved)
-    if not parent:
-        return report
     targets = {label: group(label) for label in parent}
     for v, memory in enumerate(memories):
         if memory.rename(targets):
@@ -152,8 +148,7 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
 
 
 def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
-                     report: RepairReport, gained: set[int],
-                     partner_tops: PartnerTops) -> RepairReport:
+                     report: RepairReport, partner_tops: PartnerTops) -> RepairReport:
     """Grant one endpoint of each must-link pair of ml_pairs whose top labels
     differ, in order, the partner's top label as a membership.
 
@@ -164,9 +159,7 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
     top has count 1 gets no occurrence of a lower label. The partner
     receives instead only if that grant is blocked: a grant to a node is
     blocked when one of that node's cannot-link partners tops on the label,
-    that is, when the label is in the node's multiset in partner_tops.blocked.
-
-    gained: collects the nodes that now hold a label they did not hold."""
+    that is, when the label is in the node's multiset in partner_tops.blocked."""
     blocked = partner_tops.blocked
     for u, v in ml_pairs:
         mu, mv = memories[u], memories[v]
@@ -186,8 +179,6 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
             grant = counts[top] - (label < top) - counts.get(label, 0)
             if grant:
                 report.ml_exchanges += 1
-                if label not in counts:
-                    gained.add(receiver)
                 memory.add(label, grant)
             break
     return report
@@ -265,12 +256,14 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
 
     def repair(final: bool) -> None:
         nonlocal widths
-        # Passes only add labels, and a repair leaves every cannot-link pair
-        # disjoint (guard cases aside), so a pair can only share a label again
-        # once an endpoint gains one: the width test, merges and grants.
-        gained = {v for v, width in enumerate(widths) if len(memories[v].counts) != width}
+        # A repair leaves cannot-link pairs disjoint (guard cases aside), so
+        # only a node that gains a label can share one again: one the merge
+        # renames, or one whose label count changed (passes and grants only
+        # add labels; a rename can keep the count, so the merge reports it).
+        gained: set[int] = set()
         merge_linked_labels(memories, ml_pairs, report, gained, partner_tops)
-        repair_must_link(memories, ml_pairs, report, gained, partner_tops)
+        repair_must_link(memories, ml_pairs, report, partner_tops)
+        gained.update(v for v, width in enumerate(widths) if len(memories[v].counts) != width)
         if final or len(gained) == g.n:
             pairs = cl_pairs
         else:

@@ -224,8 +224,6 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
     n = len(eligible)
     remaining = n * (n - 1) // 2 - store.queries_used
     count = min(count, remaining)
-    if count <= 0:
-        return []
     ml, cl = store.partners[Relation.MUST_LINK], store.partners[Relation.CANNOT_LINK]
     getrandbits = rng.getrandbits
     if count * 2 >= remaining:
@@ -297,8 +295,6 @@ def select_constraints(g: Graph, oracle: Oracle, max_queries: int,
         raise ValueError("max_queries must be non-negative")
     store = ConstraintStore()
     eligible = sorted(v for v in oracle.covered_nodes() if 0 <= v < g.n)
-    if max_queries == 0 or len(eligible) < 2:
-        return store
     total_pairs = len(eligible) * (len(eligible) - 1) // 2
     chunk = max(1, max_queries // 2)
 

@@ -99,15 +99,8 @@ def covering_truth(truth: Cover, source) -> Cover:
 
 
 def load_experiment_inputs(cfg: ExperimentConfig) -> tuple[Graph, Cover]:
-    try:
-        g = load_edge_list(cfg.edges)
-    except OSError as e:
-        raise RuntimeError(f"cannot load network {cfg.edges}: {e}") from e
-    try:
-        truth = load_cover(cfg.truth, g.ids)
-    except OSError as e:
-        raise RuntimeError(f"cannot load ground truth {cfg.truth}: {e}") from e
-    return g, covering_truth(truth, cfg.truth)
+    g = load_edge_list(cfg.edges)
+    return g, covering_truth(load_cover(cfg.truth, g.ids), cfg.truth)
 
 
 def experiment_cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:

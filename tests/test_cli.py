@@ -87,6 +87,24 @@ def test_run_missing_inputs_is_an_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--edges", "nope.txt", "--truth", "toy_truth.txt"],
+    ["run", "--edges", "toy.txt", "--truth", "nope.txt"],
+    ["sweep", "--net", "toy", "nope.txt", "toy_truth.txt"],
+    ["select-constraints", "--edges", "nope.txt", "--truth", "toy_truth.txt",
+     "--budget-pct", "0.05"],
+    ["filter-truth", "--edges", "nope.txt", "--truth", "toy_truth.txt"],
+    ["nmi", "nope.txt", "--truth", "toy_truth.txt"],
+    ["winloss", "nope.txt"],
+])
+def test_a_missing_input_is_reported_as_the_os_reports_it(planted, monkeypatch, capsys, argv):
+    monkeypatch.chdir(planted[0].parent)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: 'nope.txt'\n"
+
+
 def test_nmi_identical_covers_prints_one(planted, capsys):
     edges, truth = planted
     rc = main(["nmi", str(truth), "--truth", str(truth), "--edges", str(edges)])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcslpa.graph import build_graph
+from pcslpa.graph import Cover, build_graph
 from pcslpa.nmi import overlapping_nmi
 from pcslpa.planted import gen_planted_overlap
 from pcslpa.slpa import (
@@ -26,10 +26,6 @@ from pcslpa.slpa import (
     post_process,
     run_slpa,
 )
-
-
-def cover_key(cover):
-    return {frozenset(c) for c in cover.communities}
 
 
 def mem(counts: dict[int, int]) -> LabelMemory:
@@ -435,7 +431,7 @@ def test_memory_totals_after_t_passes():
 def test_post_process_thresholding():
     m = mem({0: 7, 1: 2, 2: 1})
     cover = post_process([m], threshold=0.25)
-    assert cover_key(cover) == {frozenset({0})}
+    assert cover == Cover([{0}])
     assert len(cover) == 1
 
 
@@ -445,21 +441,21 @@ def test_post_process_fallback_keeps_top_label():
     m = mem({3: 2, 1: 2})
     cover = post_process([m], threshold=0.6)
     assert len(cover) == 1
-    assert cover_key(cover) == {frozenset({0})}
+    assert cover == Cover([{0}])
     # label 1 won the tie: a second node holding only label 1 joins it
     m2 = LabelMemory(1)
     joint = post_process([m, m2], threshold=0.6)
-    assert cover_key(joint) == {frozenset({0, 1})}
+    assert joint == Cover([{0, 1}])
 
 
 def test_post_process_zero_threshold_keeps_everything():
     a = mem({0: 1, 1: 9})
     cover = post_process([a], threshold=0.0)
     # one node, two labels, two (deduped) communities of the same node
-    assert cover_key(cover) == {frozenset({0})}
+    assert cover == Cover([{0}])
     b = LabelMemory(5)
     two = post_process([a, b], threshold=0.0)
-    assert cover_key(two) == {frozenset({0}), frozenset({1})}
+    assert two == Cover([{0}, {1}])
 
 
 def test_post_process_validates_threshold():
@@ -490,10 +486,10 @@ def test_run_is_deterministic_for_fixed_seed():
     params = SlpaParams(iterations=30, threshold=0.1, seed=99)
     a = run_slpa(g, params)
     b = run_slpa(g, params)
-    assert cover_key(a) == cover_key(b)
+    assert a == b
     c = run_slpa(g, SlpaParams(iterations=30, threshold=0.1, seed=100))
     # a different seed is allowed to coincide, but the runs must not share rng
-    assert cover_key(c) is not None
+    assert c is not None
 
 
 def test_recovers_two_disjoint_cliques():
@@ -511,6 +507,5 @@ def test_recovers_two_disjoint_cliques():
 def test_isolated_nodes_become_singletons():
     g = build_graph(4, [(0, 1)])
     cover = run_slpa(g, SlpaParams(iterations=10, seed=0))
-    key = cover_key(cover)
-    assert frozenset({2}) in key
-    assert frozenset({3}) in key
+    assert frozenset({2}) in cover.communities
+    assert frozenset({3}) in cover.communities
