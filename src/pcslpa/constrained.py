@@ -70,21 +70,15 @@ def init_constrained(g: Graph, ml_pairs: list[tuple[int, int]]) -> list[LabelMem
 
 
 def constrained_speaker_set(g: Graph, store: ConstraintStore, listener: int) -> list[int]:
-    """(neighbors ∪ must-link partners) − cannot-link partners − listener.
-
-    Returns the adjacency list itself when the listener is unconstrained, so
-    the unsupervised code path is preserved exactly; callers must not mutate.
-    """
+    """(neighbors ∪ must-link partners) − cannot-link partners − listener,
+    sorted; for an unconstrained listener, a list equal to its adjacency."""
     ml = store.partners[Relation.MUST_LINK].get(listener, ())
     cl = store.partners[Relation.CANNOT_LINK].get(listener, ())
-    if not ml and not cl:
-        return g.adjacency[listener]
     return sorted(set(g.adjacency[listener]).union(ml).difference(cl, (listener,)))
 
 
 def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
-                        report: RepairReport, gained: set[int],
-                        partner_tops: PartnerTops) -> RepairReport:
+                        report: RepairReport, partner_tops: PartnerTops) -> set[int]:
     """Merge top labels that a must-link of ml_pairs joins and no cannot-link separates.
 
     A must-link pair whose endpoints top on labels a and b links a and b; a
@@ -93,10 +87,9 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
     taken by descending count of linking must-links, then ascending labels,
     and each joins its two label groups unless a cannot-link separates the
     groups. Every memory then holds each group's occurrences under the
-    group's smallest label. Renamed nodes are added to gained, and a renamed
-    memory whose top moved is reported to partner_tops (a rename can
-    re-elect a different label, so the index's keys cannot simply be
-    renamed)."""
+    group's smallest label. A renamed memory whose top moved is reported to
+    partner_tops (a rename can re-elect a different label, so the index's
+    keys cannot simply be renamed). Returns the renamed nodes."""
     tops = [memory.top for memory in memories]
     links: dict[tuple[int, int], int] = {}
     for u, v in ml_pairs:
@@ -140,15 +133,16 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
             others.add(low)
         separated.setdefault(low, set()).update(moved)
     targets = {label: group(label) for label in parent}
+    renamed: set[int] = set()
     for v, memory in enumerate(memories):
         if memory.rename(targets):
-            gained.add(v)
+            renamed.add(v)
             partner_tops.moved(v, tops[v], memory.top)
-    return report
+    return renamed
 
 
 def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]],
-                     report: RepairReport, partner_tops: PartnerTops) -> RepairReport:
+                     report: RepairReport, partner_tops: PartnerTops) -> None:
     """Grant one endpoint of each must-link pair of ml_pairs whose top labels
     differ, in order, the partner's top label as a membership.
 
@@ -181,7 +175,6 @@ def repair_must_link(memories: list[LabelMemory], ml_pairs: list[tuple[int, int]
                 report.ml_exchanges += 1
                 memory.add(label, grant)
             break
-    return report
 
 
 def _support(label: int, node: int, speakers: list[list[int]],
@@ -194,7 +187,7 @@ def _support(label: int, node: int, speakers: list[list[int]],
 def repair_cannot_link(memories: list[LabelMemory], partner_tops: PartnerTops,
                        rng: random.Random, report: RepairReport,
                        pairs: list[tuple[int, int]],
-                       speakers: list[list[int]]) -> RepairReport:
+                       speakers: list[list[int]]) -> None:
     """Strip labels shared across each cannot-link pair in `pairs`, in order.
 
     Each common label is deleted entirely from one endpoint: the one with the
@@ -231,7 +224,6 @@ def repair_cannot_link(memories: list[LabelMemory], partner_tops: PartnerTops,
             memory.remove(label)
             partner_tops.moved(loser, top, memory.top)
             report.cl_deletions += 1
-    return report
 
 
 def run_pcslpa_report(g: Graph, store: ConstraintStore,
@@ -253,15 +245,16 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     # label-set size of each node after the previous repair; 0 before the
     # first, which no memory has, so the first repair counts every node
     widths = [0] * g.n
-
-    def repair(final: bool) -> None:
-        nonlocal widths
+    for i in range(1, params.iterations + 1):
+        constrained_evaluation_pass(speakers, memories, partner_tops, rng)
+        final = i == params.iterations
+        if not final and i % REPAIR_EVERY:
+            continue
         # A repair leaves cannot-link pairs disjoint (guard cases aside), so
         # only a node that gains a label can share one again: one the merge
         # renames, or one whose label count changed (passes and grants only
-        # add labels; a rename can keep the count, so the merge reports it).
-        gained: set[int] = set()
-        merge_linked_labels(memories, ml_pairs, report, gained, partner_tops)
+        # add labels; a rename can keep the count, so the merge returns it).
+        gained = merge_linked_labels(memories, ml_pairs, report, partner_tops)
         repair_must_link(memories, ml_pairs, report, partner_tops)
         gained.update(v for v, width in enumerate(widths) if len(memories[v].counts) != width)
         if final or len(gained) == g.n:
@@ -272,10 +265,4 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
                             for v in gained for p in cl_partners.get(v, ())})
         repair_cannot_link(memories, partner_tops, rng, report, pairs, speakers)
         widths = [len(memory.counts) for memory in memories]
-
-    for i in range(1, params.iterations + 1):
-        constrained_evaluation_pass(speakers, memories, partner_tops, rng)
-        final = i == params.iterations
-        if final or i % REPAIR_EVERY == 0:
-            repair(final)
     return post_process(memories, params.threshold), report

@@ -135,15 +135,15 @@ class LabelMemory:
 
 
 class PartnerTops:
-    """For each node with cannot-link partners, the multiset of its partners'
-    current top labels, {label: partners topping on it}, in blocked.
+    """For each node that partners holds, the multiset of its cannot-link
+    partners' current top labels, {label: partners topping on it}, in blocked.
 
     A label is blocked for node v exactly when it is a key of blocked[v]; a
-    node without partners has no entry. The pass, must-link repair and the
-    label merge read blocked directly. Code that moves the top of a node
-    with partners reports the move through moved(), which updates the
-    multisets of that node's partners. Built from no partners, the index
-    blocks nothing.
+    node that partners does not hold has no entry. The pass, must-link
+    repair and the label merge read blocked directly. Code that moves the
+    top of a node with partners reports the move through moved(), which
+    updates the multisets of that node's partners. Built from no partners,
+    the index blocks nothing.
     """
 
     __slots__ = ("partners", "blocked")
@@ -152,12 +152,11 @@ class PartnerTops:
         self.partners = partners
         self.blocked: dict[int, dict[int, int]] = {}
         for v, node_partners in partners.items():
-            if node_partners:
-                tops: dict[int, int] = {}
-                for p in node_partners:
-                    top = memories[p].top
-                    tops[top] = tops.get(top, 0) + 1
-                self.blocked[v] = tops
+            tops: dict[int, int] = {}
+            for p in node_partners:
+                top = memories[p].top
+                tops[top] = tops.get(top, 0) + 1
+            self.blocked[v] = tops
 
     def moved(self, v: int, old: int, new: int) -> None:
         """Node v's top changed from old to new (a no-op when they are equal)."""
@@ -311,8 +310,6 @@ def post_process(memories: list[LabelMemory], threshold: float) -> Cover:
     labels would all be deleted keeps its single top label instead, so every
     node lands in at least one community.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
     groups: dict[int, set[int]] = {}
     for v, memory in enumerate(memories):
         total = memory.total

