@@ -32,7 +32,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import repeat
 
-from .graph import Cover, Graph, IdMap, ParseError, _open_sink, _records
+from .graph import Cover, Graph, IdMap, ParseError, _collector_paused, _open_sink, _records
 
 logger = logging.getLogger(__name__)
 
@@ -269,6 +269,7 @@ def _sample_unqueried_pairs(eligible: list[int], count: int,
     return picked
 
 
+@_collector_paused
 def select_constraints(g: Graph, oracle: Oracle, max_queries: int,
                        rng: random.Random) -> ConstraintStore:
     """Constraint selection within a budget of max_queries oracle queries
@@ -311,25 +312,26 @@ def select_constraints(g: Graph, oracle: Oracle, max_queries: int,
     return store
 
 
+@_collector_paused
 def write_constraints(store: ConstraintStore, sink, id_map: IdMap) -> None:
     """One "u v ML|CL" triple per line, sorted by canonical internal pair:
     nodes in id order, each with its higher-id partners in order.
 
     Partner v is coded 2v (must-link) or 2v+1 (cannot-link), the index of
-    its line suffix "v ML|CL"; a node's lines are the suffixes of its sorted
-    higher codes, each after the node's token, written in one call."""
+    its line suffix "v ML|CL". Only node u's higher partners v > u are
+    coded, and their codes are exactly those above 2u+1; a node's lines
+    are the suffixes of its sorted codes, each after the node's token,
+    written in one call."""
     tokens = [id_map.external(v) for v in range(len(id_map))]
     suffix = [f"{t} {tag}\n" for t in tokens for tag in ("ML", "CL")]
-    ml_code = list(range(0, 2 * len(tokens), 2)).__getitem__
-    cl_code = list(range(1, 2 * len(tokens), 2)).__getitem__
     ml_partners = store.partners[Relation.MUST_LINK]
     cl_partners = store.partners[Relation.CANNOT_LINK]
     with _open_sink(sink) as f:
         for u, tu in enumerate(tokens):
-            codes = [*map(ml_code, ml_partners.get(u, ())), *map(cl_code, cl_partners.get(u, ()))]
-            codes.sort()
-            del codes[:bisect_right(codes, 2 * u + 1)]
+            codes = [2 * v for v in ml_partners.get(u, ()) if v > u]
+            codes += [2 * v + 1 for v in cl_partners.get(u, ()) if v > u]
             if codes:
+                codes.sort()
                 prefix = tu + " "
                 f.write(prefix + prefix.join(map(suffix.__getitem__, codes)))
 

@@ -8,6 +8,8 @@ appearance; the original tokens are kept in a bidirectional map.
 
 from __future__ import annotations
 
+import functools
+import gc
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -150,6 +152,23 @@ def _open_sink(sink):
         yield sink
 
 
+def _collector_paused(fn):
+    """fn run with the cyclic garbage collector paused, for stages that build
+    large containers of ints and strings, which hold no cycles; a collector
+    already off is left off."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_collector_paused
 def load_edge_list(source) -> Graph:
     """Load an undirected simple graph from edge-list text.
 
@@ -247,6 +266,7 @@ class Cover:
         return f"Cover({len(self.communities)} communities, {len(self._membership)} nodes)"
 
 
+@_collector_paused
 def load_cover(source, id_map: IdMap, strict: bool = True) -> Cover:
     """Load a cover: one community per line, whitespace-separated member tokens.
 
