@@ -11,8 +11,9 @@ label, `memory.top`, which its LabelMemory keeps current:
   per run after initialization, holds each constrained node's multiset of
   partners' tops, so the check is one lookup; the pass and every repair step
   that moves a constrained node's top (cannot-link deletions, label merges)
-  update it; must-link repair reads it too, and the label merge finds its
-  separations in it;
+  update it; must-link repair reads it too, and the label merge looks up
+  in it, per candidate link, whether a cannot-link separates the two label
+  groups;
 * repair, after every REPAIR_EVERY-th pass and after the last: top labels
   that a must-link pair joins and no cannot-link pair separates merge into
   one; in each must-link pair whose tops still differ, one endpoint is
@@ -29,9 +30,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .constraints import ConstraintStore, Relation
-from .graph import Cover, Graph
+from .graph import Cover, Graph, _collector_paused
 from .slpa import LabelMemory, PartnerTops, SlpaParams, post_process
 from .slpa import evaluation_pass as constrained_evaluation_pass
 
@@ -81,35 +84,30 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
                         report: RepairReport, partner_tops: PartnerTops) -> set[int]:
     """Merge top labels that a must-link of ml_pairs joins and no cannot-link separates.
 
-    A must-link pair whose endpoints top on labels a and b links a and b; a
-    cannot-link pair topping on them separates them, which partner_tops
-    shows without a walk over the pairs. Linked label pairs are
-    taken by descending count of linking must-links, then ascending labels,
-    and each joins its two label groups unless a cannot-link separates the
-    groups. Every memory then holds each group's occurrences under the
-    group's smallest label. A renamed memory whose top moved is reported to
-    partner_tops (a rename can re-elect a different label, so the index's
-    keys cannot simply be renamed). Returns the renamed nodes."""
-    tops = [memory.top for memory in memories]
+    A must-link pair whose endpoints top on labels a and b links a and b.
+    Linked label pairs are taken by descending count of linking must-links,
+    then ascending labels, and each joins its two label groups unless a
+    cannot-link separates them: unless a holder of one group (a node with
+    cannot-link partners, topping on one of its labels) has a partner
+    topping on a label of the other. Each link asks this, by one lookup in
+    partner_tops, of the holders of the group that has fewer. Every memory
+    then holds each group's occurrences under the group's smallest label. A
+    renamed memory whose top moved is reported to partner_tops (a rename
+    can re-elect a different label, so the index's keys cannot simply be
+    renamed). Returns the renamed nodes."""
     links: dict[tuple[int, int], int] = {}
     for u, v in ml_pairs:
-        a, b = tops[u], tops[v]
+        a, b = memories[u].top, memories[v].top
         if a != b:
             key = (a, b) if a < b else (b, a)
             links[key] = links.get(key, 0) + 1
-    # Only linked labels can join a group, so only their separations count.
-    # A cannot-link pair (u, v) topping on a and b enters b in u's multiset of
-    # partners' tops and a in v's, so each node's top against each distinct
-    # top in its multiset yields both directions of every separation.
-    linked = {label for pair in links for label in pair}
-    separated: dict[int, set[int]] = {}
-    for v, partners_tops in partner_tops.blocked.items():
-        a = tops[v]
-        if a in linked:
-            others = partners_tops.keys() & linked
-            others.discard(a)
-            if others:
-                separated.setdefault(a, set()).update(others)
+    labels = {label: {label} for pair in links for label in pair}
+    holders: dict[int, list[int]] = {label: [] for label in labels}
+    blocked = partner_tops.blocked
+    for v in blocked:
+        top = memories[v].top
+        if top in holders:
+            holders[top].append(v)
     parent: dict[int, int] = {}
 
     def group(label: int) -> int:
@@ -121,23 +119,24 @@ def merge_linked_labels(memories: list[LabelMemory], ml_pairs: list[tuple[int, i
         a, b = group(a), group(b)
         if a == b:
             continue
-        low, high = (a, b) if a < b else (b, a)
-        if high in separated.get(low, ()):
+        few, other = (a, b) if len(holders[a]) <= len(holders[b]) else (b, a)
+        other_labels = labels[other]
+        if any(not blocked[v].keys().isdisjoint(other_labels) for v in holders[few]):
             continue
+        low, high = (a, b) if a < b else (b, a)
         parent[high] = low
         report.label_merges += 1
-        moved = separated.pop(high, set())
-        for x in moved:
-            others = separated[x]
-            others.discard(high)
-            others.add(low)
-        separated.setdefault(low, set()).update(moved)
+        labels[low] |= labels.pop(high)
+        holders[low] += holders.pop(high)
+    if not parent:
+        return set()
     targets = {label: group(label) for label in parent}
     renamed: set[int] = set()
     for v, memory in enumerate(memories):
+        top = memory.top
         if memory.rename(targets):
             renamed.add(v)
-            partner_tops.moved(v, tops[v], memory.top)
+            partner_tops.moved(v, top, memory.top)
     return renamed
 
 
@@ -226,6 +225,7 @@ def repair_cannot_link(memories: list[LabelMemory], partner_tops: PartnerTops,
             report.cl_deletions += 1
 
 
+@_collector_paused
 def run_pcslpa_report(g: Graph, store: ConstraintStore,
                       params: SlpaParams) -> tuple[Cover, RepairReport]:
     """Constrained pipeline returning the cover plus repair counters.
@@ -234,10 +234,13 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     REPAIR_EVERY-th pass and after the last (merge linked labels, one-way
     must-link grants, cannot-link repair) → the post-processing that the
     unsupervised algorithm ends in. Deterministic for fixed inputs and
-    seed."""
+    seed. Runs with the cyclic garbage collector paused, as selection does:
+    it builds no reference cycle."""
     rng = random.Random(params.seed)
-    ml_pairs, cl_pairs = sorted(store.ml), sorted(store.cl)
     cl_partners = store.partners[Relation.CANNOT_LINK]
+    ml_pairs, cl_pairs = ([(u, v) for u in sorted(partners) for v in sorted(partners[u]) if u < v]
+                          for partners in (store.partners[Relation.MUST_LINK], cl_partners))
+    us, vs = [u for u, _ in ml_pairs], [v for _, v in ml_pairs]
     memories = init_constrained(g, ml_pairs)
     partner_tops = PartnerTops(cl_partners, memories)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
@@ -245,6 +248,12 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     # label-set size of each node after the previous repair; 0 before the
     # first, which no memory has, so the first repair counts every node
     widths = [0] * g.n
+
+    def split_pairs() -> list[tuple[int, int]]:
+        """The must-link pairs whose endpoints top on different labels, in order."""
+        tops = [memory.top for memory in memories]
+        return list(compress(ml_pairs, map(ne, map(tops.__getitem__, us), map(tops.__getitem__, vs))))
+
     for i in range(1, params.iterations + 1):
         constrained_evaluation_pass(speakers, memories, partner_tops, rng)
         final = i == params.iterations
@@ -254,8 +263,11 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         # only a node that gains a label can share one again: one the merge
         # renames, or one whose label count changed (passes and grants only
         # add labels; a rename can keep the count, so the merge returns it).
-        gained = merge_linked_labels(memories, ml_pairs, report, partner_tops)
-        repair_must_link(memories, ml_pairs, report, partner_tops)
+        # Both must-link steps skip pairs whose tops agree, so they take the
+        # split pairs only, listed again after the merge renames a node.
+        split = split_pairs()
+        gained = merge_linked_labels(memories, split, report, partner_tops)
+        repair_must_link(memories, split_pairs() if gained else split, report, partner_tops)
         gained.update(v for v, width in enumerate(widths) if len(memories[v].counts) != width)
         if final or len(gained) == g.n:
             pairs = cl_pairs

@@ -116,7 +116,9 @@ class ConstraintStore:
         return links
 
     def __repr__(self) -> str:
-        return f"ConstraintStore(ml={len(self.ml)}, cl={len(self.cl)}, queries={self.queries_used})"
+        # each pair is in the partner sets of both its nodes
+        ml, cl = (sum(map(len, self.partners[r].values())) // 2 for r in Relation)
+        return f"ConstraintStore(ml={ml}, cl={cl}, queries={self.queries_used})"
 
 
 class Oracle:

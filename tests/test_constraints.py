@@ -41,8 +41,11 @@ from pcslpa.graph import (
     write_cover,
     write_edge_list,
 )
+from pcslpa import constrained
+from pcslpa.constrained import run_pcslpa_report
 from pcslpa.harness import mix_seed
 from pcslpa.planted import gen_planted_overlap
+from pcslpa.slpa import SlpaParams
 
 
 class CountingOracle(Oracle):
@@ -172,6 +175,20 @@ def test_pair_sets_are_copies_of_the_partner_index():
     assert s.ml == {(0, 1)} and s.cl == {(1, 2)}
     assert s.partners == {Relation.MUST_LINK: {0: {1}, 1: {0}},
                           Relation.CANNOT_LINK: {1: {2}, 2: {1}}}
+
+
+def test_store_repr_counts_the_pairs_without_building_them(monkeypatch):
+    s = ConstraintStore()
+    assert repr(s) == "ConstraintStore(ml=0, cl=0, queries=0)"
+    s.add(0, 1, Relation.MUST_LINK)
+    s.add(2, 0, Relation.MUST_LINK)
+    s.add(1, 2, Relation.CANNOT_LINK)
+
+    def no_pair_sets(self, relation):
+        raise AssertionError("repr built a pair set")
+
+    monkeypatch.setattr(ConstraintStore, "_pairs", no_pair_sets)
+    assert repr(s) == "ConstraintStore(ml=2, cl=1, queries=3)"
 
 
 def test_store_rejects_duplicates_and_conflicts():
@@ -680,7 +697,8 @@ def test_a_store_keeps_one_record_of_its_pairs():
 
 # The stages that build the program's large containers run with the cyclic
 # collector paused.
-PAUSED_STAGES = (load_edge_list, load_cover, select_constraints, write_constraints)
+PAUSED_STAGES = (load_edge_list, load_cover, select_constraints, write_constraints,
+                 run_pcslpa_report)
 
 
 def criterion_4_texts() -> tuple[str, str]:
@@ -693,9 +711,9 @@ def criterion_4_texts() -> tuple[str, str]:
 
 
 def run_paused_stages(edge_text: str, truth_text: str) -> tuple[str, ConstraintStore]:
-    """Each paused stage in turn, as select-constraints calls them, checking
-    that each leaves the collector as it found it: the constraint text and
-    the store read back from it."""
+    """Each paused stage in turn, as select-constraints and then a pcslpa
+    run call them, checking that each leaves the collector as it found it:
+    the constraint text and the store read back from it."""
     collector_on = gc.isenabled()
     g = load_edge_list(io.StringIO(edge_text))
     assert gc.isenabled() is collector_on
@@ -707,13 +725,16 @@ def run_paused_stages(edge_text: str, truth_text: str) -> tuple[str, ConstraintS
     buf = io.StringIO()
     write_constraints(store, buf, g.ids)
     assert gc.isenabled() is collector_on
+    run_pcslpa_report(g, store, SlpaParams(iterations=12, seed=1))
+    assert gc.isenabled() is collector_on
     return buf.getvalue(), load_constraints(io.StringIO(buf.getvalue()), g.ids)
 
 
 @pytest.mark.parametrize("collector_on", [True, False])
 def test_each_paused_stage_leaves_the_collector_as_it_found_it(collector_on):
     assert [f.__name__ for f in PAUSED_STAGES] == [
-        "load_edge_list", "load_cover", "select_constraints", "write_constraints"]
+        "load_edge_list", "load_cover", "select_constraints", "write_constraints",
+        "run_pcslpa_report"]
     assert gc.isenabled()
     if not collector_on:
         gc.disable()
@@ -729,8 +750,8 @@ def test_each_paused_stage_leaves_the_collector_as_it_found_it(collector_on):
 
 def test_the_paused_stages_leave_no_cyclic_garbage():
     # with the collector off throughout, a cycle that a stage made and
-    # dropped is still uncollected at the check; the stages build only
-    # containers of ints and strings, so the pause holds back no memory
+    # dropped is still uncollected at the check; the stages build no
+    # reference cycle, so the pause holds back no memory
     texts = criterion_4_texts()
     gc.collect()
     gc.disable()
@@ -739,3 +760,16 @@ def test_the_paused_stages_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_pcslpa_run_repairs_with_the_collector_paused(monkeypatch):
+    g, _ = gen_planted_overlap(2, 10, 3, 1.0, 0.0, seed=0)
+    store = ConstraintStore()
+    store.add(0, 15, Relation.MUST_LINK)
+    store.add(1, 16, Relation.CANNOT_LINK)
+    states = []
+    must_link = constrained.repair_must_link
+    monkeypatch.setattr(constrained, "repair_must_link",
+                        lambda *args: states.append(gc.isenabled()) or must_link(*args))
+    run_pcslpa_report(g, store, SlpaParams(iterations=12, seed=1))
+    assert states == [False] * 3 and gc.isenabled()

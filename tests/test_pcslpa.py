@@ -264,6 +264,113 @@ def test_merge_is_vetoed_by_a_separating_cannot_link():
     assert [m.counts for m in mems] == [{10: 3}, {11: 2}, {10: 2}, {11: 5}]
 
 
+def test_merge_is_vetoed_by_a_separation_that_an_earlier_merge_brought_in():
+    # labels 10 and 11 are linked twice and merge first; 12 is linked to 11
+    # once, and no cannot-link joins 11 and 12, but one joins 10 and 12
+    store = ConstraintStore()
+    for u, v in ((0, 1), (2, 3), (4, 5)):
+        store.add(u, v, Relation.MUST_LINK)
+    store.add(6, 7, Relation.CANNOT_LINK)
+    mems = [mem({10: 1}), mem({11: 1}), mem({10: 1}), mem({11: 1}), mem({11: 1}), mem({12: 1}),
+            mem({10: 1}), mem({12: 1})]
+    report = RepairReport()
+    assert merge_linked_labels(mems, sorted(store.ml), report, partner_tops(mems, store)) == {1, 3, 4}
+    assert report.label_merges == 1
+    assert [m.top for m in mems] == [10, 10, 10, 10, 10, 12, 10, 12]
+
+
+def reference_merge_linked_labels(memories, ml_pairs, report, partner_tops, inherited):
+    """The label merge that builds a separation table over every node with
+    cannot-link partners and moves a merged group's separations to the
+    surviving label. Appends to inherited each link vetoed only by a
+    separation that an earlier merge brought into one of its groups."""
+    tops = [memory.top for memory in memories]
+    links: dict[tuple[int, int], int] = {}
+    for u, v in ml_pairs:
+        a, b = tops[u], tops[v]
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            links[key] = links.get(key, 0) + 1
+    linked = {label for pair in links for label in pair}
+    separated: dict[int, set[int]] = {}
+    for v, partners_tops in partner_tops.blocked.items():
+        a = tops[v]
+        if a in linked:
+            others = partners_tops.keys() & linked
+            others.discard(a)
+            if others:
+                separated.setdefault(a, set()).update(others)
+    direct = {a: set(others) for a, others in separated.items()}
+    parent: dict[int, int] = {}
+
+    def group(label):
+        while label in parent:
+            label = parent[label]
+        return label
+
+    for pair in sorted(links, key=lambda pair: (-links[pair], pair)):
+        a, b = group(pair[0]), group(pair[1])
+        if a == b:
+            continue
+        low, high = (a, b) if a < b else (b, a)
+        if high in separated.get(low, ()):
+            if pair[1] not in direct.get(pair[0], ()):
+                inherited.append(pair)
+            continue
+        parent[high] = low
+        report.label_merges += 1
+        moved = separated.pop(high, set())
+        for x in moved:
+            others = separated[x]
+            others.discard(high)
+            others.add(low)
+        separated.setdefault(low, set()).update(moved)
+    targets = {label: group(label) for label in parent}
+    renamed = set()
+    for v, memory in enumerate(memories):
+        if memory.rename(targets):
+            renamed.add(v)
+            partner_tops.moved(v, tops[v], memory.top)
+    return renamed
+
+
+def merge_state(mems, index, report, renamed):
+    return ([(list(m.counts.items()), m.total, m.top) for m in mems], index.blocked,
+            report, renamed)
+
+
+def test_merge_matches_the_table_building_reference():
+    # Each instance's memories hold labels from a small pool, so that many
+    # must-links join and many cannot-links separate the same labels; the
+    # merge is handed all must-link pairs and only the split ones.
+    inherited_instances = merged_instances = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(4, 30)
+        pool = rng.randint(2, n // 2)
+        counts = [{label: rng.randint(1, 4) for label in rng.sample(range(pool), rng.randint(1, min(pool, 3)))}
+                  for _ in range(n)]
+        store = ConstraintStore()
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            if canonical_pair(u, v) not in store.ml | store.cl:
+                store.add(u, v, rng.choice((Relation.MUST_LINK, Relation.CANNOT_LINK)))
+        ml_pairs = sorted(store.ml)
+        want_mems = [mem(c) for c in counts]
+        split = [(u, v) for u, v in ml_pairs if want_mems[u].top != want_mems[v].top]
+        want_index, want_report, inherited = partner_tops(want_mems, store), RepairReport(), []
+        want = merge_state(want_mems, want_index, want_report, reference_merge_linked_labels(
+            want_mems, ml_pairs, want_report, want_index, inherited))
+        for pairs in (ml_pairs, split):
+            got_mems = [mem(c) for c in counts]
+            got_index, got_report = partner_tops(got_mems, store), RepairReport()
+            renamed = merge_linked_labels(got_mems, pairs, got_report, got_index)
+            assert merge_state(got_mems, got_index, got_report, renamed) == want, seed
+        merged_instances += want_report.label_merges > 0
+        inherited_instances += bool(inherited)
+    assert merged_instances >= 200 and inherited_instances >= 50, (merged_instances, inherited_instances)
+
+
 def test_ml_repair_one_way_gives_the_weaker_side_the_partner_top():
     store = ConstraintStore()
     store.add(0, 1, Relation.MUST_LINK)
