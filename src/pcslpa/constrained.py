@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 
 from .constraints import ConstraintStore, Relation
 from .graph import Cover, Graph, _collector_paused
@@ -240,7 +238,6 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     cl_partners = store.partners[Relation.CANNOT_LINK]
     ml_pairs, cl_pairs = ([(u, v) for u in sorted(partners) for v in sorted(partners[u]) if u < v]
                           for partners in (store.partners[Relation.MUST_LINK], cl_partners))
-    us, vs = [u for u, _ in ml_pairs], [v for _, v in ml_pairs]
     memories = init_constrained(g, ml_pairs)
     partner_tops = PartnerTops(cl_partners, memories)
     speakers = [constrained_speaker_set(g, store, v) for v in range(g.n)]
@@ -248,11 +245,6 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
     # label-set size of each node after the previous repair; 0 before the
     # first, which no memory has, so the first repair counts every node
     widths = [0] * g.n
-
-    def split_pairs() -> list[tuple[int, int]]:
-        """The must-link pairs whose endpoints top on different labels, in order."""
-        tops = [memory.top for memory in memories]
-        return list(compress(ml_pairs, map(ne, map(tops.__getitem__, us), map(tops.__getitem__, vs))))
 
     for i in range(1, params.iterations + 1):
         constrained_evaluation_pass(speakers, memories, partner_tops, rng)
@@ -263,11 +255,8 @@ def run_pcslpa_report(g: Graph, store: ConstraintStore,
         # only a node that gains a label can share one again: one the merge
         # renames, or one whose label count changed (passes and grants only
         # add labels; a rename can keep the count, so the merge returns it).
-        # Both must-link steps skip pairs whose tops agree, so they take the
-        # split pairs only, listed again after the merge renames a node.
-        split = split_pairs()
-        gained = merge_linked_labels(memories, split, report, partner_tops)
-        repair_must_link(memories, split_pairs() if gained else split, report, partner_tops)
+        gained = merge_linked_labels(memories, ml_pairs, report, partner_tops)
+        repair_must_link(memories, ml_pairs, report, partner_tops)
         gained.update(v for v, width in enumerate(widths) if len(memories[v].counts) != width)
         if final or len(gained) == g.n:
             pairs = cl_pairs

@@ -24,17 +24,13 @@ and does not depend on how a Python version implements `sample`.
 from __future__ import annotations
 
 import enum
-import logging
 import random
-from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import repeat
 
 from .graph import Cover, Graph, IdMap, ParseError, _collector_paused, _open_sink, _records
-
-logger = logging.getLogger(__name__)
 
 
 class Relation(enum.Enum):
@@ -205,12 +201,11 @@ def find_forbidden_triads(store: ConstraintStore, links: Iterable[tuple[int, int
         reach = set().union(*[ml_partners[h] for h in x_hubs])
         reach.difference_update(ml_partners[x], cl_partners.get(x, ()))
         reach.discard(x)
-        reach = sorted(reach)
-        cut = bisect_right(reach, x)
-        if cut < len(reach):
-            highs[x].update(reach[cut:])
-        for y in reach[:cut]:
-            highs[y].add(x)
+        for y in reach:
+            if y > x:
+                highs[x].add(y)
+            else:
+                highs[y].add(x)
     pairs: list[tuple[int, int]] = []
     for x in sorted(highs):
         pairs.extend(zip(repeat(x), sorted(highs[x])))
